@@ -81,8 +81,12 @@ core::ExperimentResult Run(const core::MergeConfig& config, const std::string& n
 }
 
 std::vector<core::ExperimentResult> RunSweep(const std::vector<core::MergeConfig>& configs) {
-  std::vector<core::ExperimentResult> results =
-      core::RunSweepParallel(configs, Trials(), Threads());
+  std::vector<core::SweepUnit> units;
+  units.reserve(configs.size());
+  for (const core::MergeConfig& config : configs) {
+    units.push_back(core::SweepUnit{"", config, Trials()});
+  }
+  std::vector<core::ExperimentResult> results = core::RunSweep(units, Threads());
   std::vector<core::ExperimentResult> out;
   out.reserve(results.size());
   for (size_t i = 0; i < results.size(); ++i) {

@@ -191,18 +191,6 @@ ExperimentResult RunTrialsParallel(const MergeConfig& config, int num_trials,
   return AggregateTrials(std::move(outcome.results));
 }
 
-std::vector<ExperimentResult> RunSweepParallel(const std::vector<MergeConfig>& configs,
-                                               int num_trials, int num_threads,
-                                               const TrialDeadline& deadline) {
-  EMSIM_CHECK(num_trials >= 1);
-  std::vector<SweepUnit> units;
-  units.reserve(configs.size());
-  for (const MergeConfig& config : configs) {
-    units.push_back(SweepUnit{"", config, num_trials});
-  }
-  return RunSweep(units, num_threads, deadline);
-}
-
 std::vector<ExperimentResult> RunSweep(const std::vector<SweepUnit>& units, int num_threads,
                                        const TrialDeadline& deadline) {
   if (units.empty()) {

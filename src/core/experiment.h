@@ -140,17 +140,12 @@ ExperimentResult RunTrialsParallel(const MergeConfig& config, int num_trials,
                                    int num_threads = 0,
                                    const TrialDeadline& deadline = {});
 
-/// Runs `num_trials` trials of every config in `configs` on the shared
-/// worker pool, flattening the config × trial grid into one task space so a
-/// sweep keeps all threads busy even when per-config trial counts are small.
-/// Results are aggregated per config, in the order given, with the same
-/// bit-identical-to-serial guarantee as RunTrialsParallel.
-std::vector<ExperimentResult> RunSweepParallel(const std::vector<MergeConfig>& configs,
-                                               int num_trials, int num_threads = 0,
-                                               const TrialDeadline& deadline = {});
-
-/// Per-unit generalization of RunSweepParallel (units may differ in trial
-/// count — the shape an experiment spec file produces). Aborts on the
+/// Runs every unit's trials on the shared worker pool, flattening the
+/// unit × trial grid into one task space so a sweep keeps all threads busy
+/// even when per-unit trial counts are small (units may differ in trial
+/// count — the shape an experiment spec file produces). Results are
+/// aggregated per unit, in the order given, with the same
+/// bit-identical-to-serial guarantee as RunTrialsParallel. Aborts on the
 /// lowest-index task failure like the other runners.
 std::vector<ExperimentResult> RunSweep(const std::vector<SweepUnit>& units,
                                        int num_threads = 0,

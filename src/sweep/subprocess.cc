@@ -56,9 +56,14 @@ Result<Subprocess> Subprocess::Start(const std::vector<std::string>& argv) {
     return Status::Internal("subprocess: fork failed");
   }
   if (pid == 0) {
+    (void)setpgid(0, 0);
     execvp(c_argv[0], c_argv.data());
     _exit(127);  // exec failed; 127 matches the shell convention.
   }
+  // Both sides set the group so it exists before either returns, whichever
+  // runs first; the parent's call fails harmlessly once the child has
+  // exec'd.
+  (void)setpgid(pid, pid);
   Subprocess child;
   child.pid_ = pid;
   return child;
@@ -87,8 +92,8 @@ bool Subprocess::Poll() {
 }
 
 void Subprocess::Kill() {
-  if (running()) {
-    (void)kill(pid_, SIGKILL);
+  if (running() && kill(-pid_, SIGKILL) != 0) {
+    (void)kill(pid_, SIGKILL);  // no group (setpgid failed): the child alone
   }
 }
 

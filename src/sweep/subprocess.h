@@ -10,8 +10,10 @@
 namespace emsim::sweep {
 
 /// A spawned worker process (POSIX fork/exec). Non-blocking by design: the
-/// dispatcher polls many workers from one thread. The destructor kills and
-/// reaps a still-running child so a dispatcher unwind cannot leak zombies.
+/// dispatcher polls many workers from one thread. The child leads its own
+/// process group, so a kill reaches everything it spawned, and a terminal's
+/// Ctrl-C reaches only the parent. The destructor kills and reaps a
+/// still-running child so a dispatcher unwind cannot leak zombies.
 class Subprocess {
  public:
   Subprocess() = default;
@@ -30,7 +32,8 @@ class Subprocess {
   /// (thereafter exit state is readable). Never blocks.
   bool Poll();
 
-  /// SIGKILLs a running child (the exit is still collected via Poll).
+  /// SIGKILLs a running child's whole process group: the child and every
+  /// descendant that stayed in it (the exit is still collected via Poll).
   void Kill();
 
   bool running() const { return pid_ > 0 && !done_; }

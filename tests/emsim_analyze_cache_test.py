@@ -71,7 +71,6 @@ class AnalyzeCacheTest(unittest.TestCase):
         code = emsim_analyze.main([
             "--build-dir", str(self.root / "build"),
             "--source-root", str(self.root),
-            "--frontend", "internal",
             "--cache-dir", str(self.cache_dir),
             "--timing-report", str(timing),
             "--report", str(report),
@@ -135,19 +134,23 @@ class AnalyzeCacheTest(unittest.TestCase):
              for f in report_warm["findings"]])
 
     def test_warm_budget_rejects_an_over_budget_warm_run(self):
+        # Suppress the fixture's one finding so the exit code isolates the
+        # budget gate.
+        self.write("src/core/clock_util.h",
+                   HEADER_H.replace(
+                       "  return std::chrono",
+                       "  // emsim-analyze: allow(determinism-taint)\n"
+                       "  return std::chrono"))
         # Cold runs are exempt no matter how slow ...
-        code, timing, _ = self.run_analyzer("--warm-budget-seconds", "1e-9",
-                                            "--advisory")
+        code, timing, _ = self.run_analyzer("--warm-budget-seconds", "1e-9")
         self.assertEqual(code, 0)
         self.assertFalse(timing["over_budget"])
-        # ... warm runs over budget fail even in advisory mode.
-        code, timing, _ = self.run_analyzer("--warm-budget-seconds", "1e-9",
-                                            "--advisory")
+        # ... warm runs over budget fail.
+        code, timing, _ = self.run_analyzer("--warm-budget-seconds", "1e-9")
         self.assertEqual(code, 1)
         self.assertTrue(timing["over_budget"])
         # A sane budget passes warm.
-        code, timing, _ = self.run_analyzer("--warm-budget-seconds", "600",
-                                            "--advisory")
+        code, timing, _ = self.run_analyzer("--warm-budget-seconds", "600")
         self.assertEqual(code, 0)
 
     # -- analyzer-specific upgrades over the clang-tidy cache ---------------

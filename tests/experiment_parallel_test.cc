@@ -118,18 +118,18 @@ TEST(RunTrialsParallelDeathTest, FailureSurfacesLowestTrialIndex) {
   EXPECT_DEATH(RunTrialsParallel(cfg, 4, 2), "trial 0 failed");
 }
 
-TEST(RunSweepParallelTest, BitIdenticalToPerConfigSerialRuns) {
-  std::vector<MergeConfig> configs;
+TEST(RunSweepTest, BitIdenticalToPerConfigSerialRuns) {
+  const int trials = 3;
+  std::vector<SweepUnit> units;
   for (int depth : {1, 2, 4}) {
     MergeConfig cfg = SmallConfig();
     cfg.prefetch_depth = depth;
-    configs.push_back(cfg);
+    units.push_back(SweepUnit{"", cfg, trials});
   }
-  const int trials = 3;
   std::vector<ExperimentResult> serial;
-  serial.reserve(configs.size());
-  for (const MergeConfig& cfg : configs) {
-    serial.push_back(RunTrials(cfg, trials));
+  serial.reserve(units.size());
+  for (const SweepUnit& unit : units) {
+    serial.push_back(RunTrials(unit.config, trials));
   }
   int hardware = static_cast<int>(std::thread::hardware_concurrency());
   if (hardware <= 0) {
@@ -137,7 +137,7 @@ TEST(RunSweepParallelTest, BitIdenticalToPerConfigSerialRuns) {
   }
   for (int threads : {1, 2, hardware}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    std::vector<ExperimentResult> sweep = RunSweepParallel(configs, trials, threads);
+    std::vector<ExperimentResult> sweep = RunSweep(units, threads);
     ASSERT_EQ(sweep.size(), serial.size());
     for (size_t c = 0; c < serial.size(); ++c) {
       SCOPED_TRACE("config=" + std::to_string(c));

@@ -49,7 +49,8 @@ TEST(FaultParallelTest, SweepWithFaultPointsMatchesSerialPoints) {
   MergeConfig clean = FaultyConfig();
   clean.fault = fault::FaultConfig{};  // Fault-free point in the same sweep.
   MergeConfig faulty = FaultyConfig();
-  std::vector<ExperimentResult> sweep = RunSweepParallel({clean, faulty}, 3, 4);
+  std::vector<ExperimentResult> sweep =
+      RunSweep({SweepUnit{"", clean, 3}, SweepUnit{"", faulty, 3}}, 4);
   ASSERT_EQ(sweep.size(), 2u);
 
   ExperimentResult serial_clean = RunTrials(clean, 3);

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <poll.h>
 #include <string>
 #include <sys/stat.h>
 #include <thread>
@@ -64,6 +65,31 @@ TEST(SubprocessTest, KillIsReportedAsSignal) {
   }
   EXPECT_TRUE(child->was_signaled());
   EXPECT_EQ(child->DescribeExit(), StrFormat("signal %d", 9));
+}
+
+// The worker's own child inherits the write end of a pipe, so EOF on the
+// read end proves every process holding it is gone. A kill that reached
+// only the direct child would leave the `sleep` holding the pipe open.
+TEST(SubprocessTest, KillReachesGrandchildren) {
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  ASSERT_LT(fds[1], 10);  // POSIX sh redirects only single-digit fds
+  auto child = Subprocess::Start(
+      {"/bin/sh", "-c", StrFormat("sleep 30 & echo ready >&%d; wait", fds[1])});
+  ::close(fds[1]);
+  ASSERT_TRUE(child.ok());
+  // "ready" is written after the grandchild was forked.
+  pollfd reader{fds[0], POLLIN, 0};
+  ASSERT_EQ(::poll(&reader, 1, 5000), 1);
+  char buf[16];
+  ASSERT_GT(::read(fds[0], buf, sizeof(buf)), 0);
+
+  child->Kill();
+  while (!child->Poll()) {
+  }
+  ASSERT_EQ(::poll(&reader, 1, 2000), 1) << "grandchild still holds the pipe";
+  EXPECT_EQ(::read(fds[0], buf, sizeof(buf)), 0);
+  ::close(fds[0]);
 }
 
 TEST(DispatcherTest, RunsAllShardsOnce) {

@@ -160,20 +160,17 @@ TEST(SweepMergeTest, MergedJsonByteIdenticalAcrossShardCounts) {
   }
 }
 
-// Same contract against RunSweepParallel's uniform-grid spelling.
-TEST(SweepMergeTest, MatchesRunSweepParallel) {
+// Same contract against the in-process parallel sweep runner.
+TEST(SweepMergeTest, MatchesRunSweep) {
   core::MergeConfig cfg = SmallConfig();
   constexpr int kTrials = 5;
-  std::vector<core::MergeConfig> configs;
   std::vector<core::SweepUnit> units;
   for (int n : {1, 2, 4}) {
     core::MergeConfig c = cfg;
     c.prefetch_depth = n;
-    configs.push_back(c);
     units.push_back(core::SweepUnit{StrFormat("n=%d", n), c, kTrials});
   }
-  std::vector<core::ExperimentResult> parallel =
-      core::RunSweepParallel(configs, kTrials, 3);
+  std::vector<core::ExperimentResult> parallel = core::RunSweep(units, 3);
   std::string want = RenderJson(units, parallel);
 
   core::SweepGrid grid(units);

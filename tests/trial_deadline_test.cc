@@ -108,10 +108,11 @@ TEST(TrialDeadlineDeathTest, ParallelRunnerAbortsWithTrialIndexAndConfig) {
 }
 
 TEST(TrialDeadlineDeathTest, SweepRunnerAbortsWithTaskIndex) {
-  std::vector<MergeConfig> configs = {SmallConfig(), SmallConfig()};
+  std::vector<SweepUnit> units = {SweepUnit{"", SmallConfig(), 2},
+                                  SweepUnit{"", SmallConfig(), 2}};
   TrialDeadline deadline;
   deadline.max_sim_events = 50;
-  EXPECT_DEATH(RunSweepParallel(configs, 2, 2, deadline),
+  EXPECT_DEATH(RunSweep(units, 2, deadline),
                "sweep task 0 failed.*DeadlineExceeded");
 }
 

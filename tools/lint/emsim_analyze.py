@@ -34,23 +34,29 @@ Rules (ids are what `allow(...)` takes; `--list-rules` prints this catalog):
                        contract; ad-hoc `+=`/`x = x + ...` on a double makes
                        the result depend on reduction order. src/stats/ is
                        the sanctioned implementation and is exempt.
-  coro-ref-capture     AST-precision upgrade of the regex rule: a lambda
-                       whose brace-matched body suspends (co_await/co_return)
-                       and whose capture list captures by reference, or that
-                       reads a by-reference parameter after its first
-                       suspension point. Token-level scope analysis — multi-
-                       line captures, strings and comments cannot confuse it.
-  coro-raw-handle      std::coroutine_handle mentioned outside src/sim/
-                       (token-level, so prose in comments never fires).
+  coro-ref-capture     A lambda whose brace-matched body suspends
+                       (co_await/co_return/co_yield) and whose capture list
+                       captures by reference, or that reads a by-reference
+                       parameter after its first suspension point — in a
+                       function body or at namespace/class scope. The frame
+                       outlives the enclosing scope, so the reference
+                       dangles at resume. Named coroutines (the caller keeps
+                       the referents alive across the run) are the
+                       sanctioned pattern. Token-level scope analysis —
+                       multi-line captures, strings and comments cannot
+                       confuse it.
+  coro-raw-handle      std::coroutine_handle mentioned outside src/sim/, in
+                       any file, coroutine or not (token-level, so prose in
+                       comments never fires).
   no-blocking-in-sim   Host blocking primitives (sleep_for/until, std::mutex
-                       family, condition_variable) in a TU that contains
-                       coroutine code.
+                       family and lockers, condition_variable) anywhere in a
+                       file that contains coroutine code.
   shared-state-unguarded
                        Mutable shared state with no declared discipline:
                        a function-local `static` that is mutated and
                        reachable from a parallel entry point (ThreadPool::
-                       Run/RunTasks/WorkerLoop, RunSweepRange/RunTrials
-                       Parallel/RunSweepParallel, RunShardedSweep) and is
+                       Run/RunTasks/WorkerLoop, RunSweepRange,
+                       RunTrialsParallel, RunShardedSweep) and is
                        neither const, std::atomic, once_flag, nor a
                        lock-bearing type; or a data member of a lock-bearing
                        class (one that owns a Mutex) that is neither
@@ -76,23 +82,22 @@ Rules (ids are what `allow(...)` takes; `--list-rules` prints this catalog):
                        a re-check loop (`while (cond) cv.Wait(lock);` is the
                        sanctioned form).
 
-Frontends. `--frontend libclang` parses each TU with the python libclang
-bindings (clang.cindex) against the root compile_commands.json; `--frontend
-internal` uses the built-in C++ tokenizer/indexer (no toolchain dependency,
-byte-reproducible anywhere — what the fixture tests pin); `auto` prefers
-libclang and falls back with a note. Both emit the same IR, so everything
-downstream — call graph, rules, cache, reports — is frontend-independent.
+Parsing. A built-in C++ tokenizer/indexer extracts a per-file IR from
+every TU in the root compile_commands.json and the project headers it
+includes. It needs no toolchain, so the analyzer runs (and is byte-
+reproducible) anywhere python runs.
 
-Cache. Same shape as run_clang_tidy.py: each TU's extracted IR is stored
-content-addressed under --cache-dir, keyed by a SHA-256 over the schema, the
-frontend id, the rule configuration, and the *comment-stripped token stream*
-of the TU and of every transitively included project header. Editing a
-header re-extracts exactly its dependents; editing only comments or
-whitespace is a cache hit (the one deliberate consequence: a warm finding
-can report a line number from before a comment-only edit shifted lines —
-`--no-cache` re-keys everything). Suppressions are resolved at report time
-against the current file contents, so adding an `allow(...)` works without
-invalidating anything.
+Cache. Same shape as run_clang_tidy.py, through the shared lint_cache.py
+scanner and entry store: each TU's extracted IR is stored content-addressed
+under --cache-dir, keyed by a SHA-256 over the schema, the rule
+configuration, and the *comment-stripped token stream* of the TU and of
+every transitively included project header. Editing a header re-extracts
+exactly its dependents; editing only comments or whitespace is a cache hit.
+Facts are anchored to token indices and remapped to current line numbers
+on load, so a comment-only edit that shifts lines still reports (and
+suppresses) against the current file. Suppressions are resolved at report
+time against the current file contents, so adding an `allow(...)` works
+without invalidating anything.
 
 A finding is suppressed for one line with a trailing
 `// emsim-analyze: allow(<rule-id>)` comment, or with a standalone comment
@@ -102,12 +107,12 @@ findings are recorded in the JSON report so they stay auditable.
 
 Usage:
   tools/lint/emsim_analyze.py --build-dir build [--source-root .]
-      [--frontend auto|libclang|internal] [--report out.json]
-      [--cache-dir DIR] [--no-cache] [--timing-report out.json]
-      [--warm-budget-seconds N] [--advisory] [--list-rules] [--stats]
+      [--report out.json] [--cache-dir DIR] [--no-cache]
+      [--timing-report out.json] [--warm-budget-seconds N] [--list-rules]
+      [--stats]
 
-Exit status: 0 clean, 1 findings (0 with --advisory), 2 usage error,
-4 requested frontend unavailable.
+Exit status: 0 clean, 1 findings (or a warm run over budget), 2 usage
+error.
 """
 
 from __future__ import annotations
@@ -120,7 +125,10 @@ import sys
 import time
 from pathlib import Path
 
-SCHEMA = "2"
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import lint_cache  # noqa: E402
+
+SCHEMA = "3"
 LINT_DIRS = ("src", "tools", "bench", "tests", "examples")
 
 # --- Rule configuration ------------------------------------------------------
@@ -139,7 +147,7 @@ EXPORT_SINK_PATTERNS = (
 # name, plus their direct same-file helpers.
 AGG_ROOT_NAMES = {
     "AggregateTrials", "AggregateGrid", "RunTrials", "RunTrialsParallel",
-    "RunSweep", "RunSweepRange", "RunSweepParallel", "MergeShardArtifacts",
+    "RunSweep", "RunSweepRange", "MergeShardArtifacts",
 }
 # The sanctioned reduction implementation: Welford Add/Merge lives here.
 FLOAT_EXEMPT_RE = re.compile(r"^src/stats/")
@@ -170,8 +178,7 @@ BLOCKING_IDS = {"mutex", "timed_mutex", "recursive_mutex",
 # whole-name or `::`-suffix.
 PARALLEL_ROOTS = (
     "ThreadPool::Run", "ThreadPool::RunTasks", "ThreadPool::WorkerLoop",
-    "RunSweepRange", "RunTrialsParallel", "RunSweepParallel",
-    "RunShardedSweep",
+    "RunSweepRange", "RunTrialsParallel", "RunShardedSweep",
 )
 
 # RAII locker types that acquire a capability for a lexical scope. An
@@ -339,7 +346,7 @@ def token_digest(text: str) -> bytes:
     return h.digest()
 
 
-# --- Internal frontend: file IR extraction ----------------------------------
+# --- File IR extraction -----------------------------------------------------
 #
 # The IR is plain JSON:
 #   {"functions": [{"qname", "name", "file", "line",
@@ -427,6 +434,7 @@ class FileParser:
     def scan_file_level(self):
         toks = self.toks
         n = len(toks)
+        blocking_line = None   # one no-blocking-in-sim fact per line
         for i, tok in enumerate(toks):
             text = tok.text
             if text in ("co_await", "co_return", "co_yield"):
@@ -434,6 +442,10 @@ class FileParser:
             elif text == "coroutine_handle":
                 self.fact("coro-raw-handle", "raw-handle", i,
                           "std::coroutine_handle")
+            elif tok.line != blocking_line \
+                    and (spelling := self._blocking_primitive(i)):
+                blocking_line = tok.line
+                self.fact("no-blocking-in-sim", "blocking", i, spelling)
             elif text == "using" and i + 2 < n and toks[i + 1].kind == "id" \
                     and toks[i + 2].text == "=":
                 j = i + 3
@@ -452,6 +464,19 @@ class FileParser:
                 end = self._match_angle(i + 1)
                 if end < n and toks[end].kind == "id":
                     self.unordered_names.add(toks[end].text)
+
+    def _blocking_primitive(self, i):
+        """The spelling of a host blocking primitive at toks[i] (`std::mutex`
+        family and lockers, `std::condition_variable`,
+        `std::this_thread::sleep_*`), or None."""
+        if i < 2 or self.toks[i - 1].text != "::":
+            return None
+        text, scope = self.toks[i].text, self.toks[i - 2].text
+        if scope == "std" and text in BLOCKING_IDS:
+            return f"std::{text}"
+        if scope == "this_thread" and text in ("sleep_for", "sleep_until"):
+            return f"std::this_thread::{text}"
+        return None
 
     def _check_pointer_key(self, tmpl_idx, arg_begin, arg_end):
         """Flags `set<T*>` / `map<T*, ...>` / `less<T*>`: a `*` in the first
@@ -548,6 +573,10 @@ class FileParser:
                 if consumed is not None:
                     i = consumed
                     continue
+            if text == "[" and self._is_lambda_intro(i):
+                # A lambda outside any function body (a variable or member
+                # initializer): its facts are file-level.
+                self._scan_lambda(None, i, n)
             i += 1
 
     def _name_before(self, i):
@@ -934,17 +963,6 @@ class FileParser:
                               "reinterpret_cast of pointer bits to an "
                               "integer", fn)
 
-            # Blocking primitives (for no-blocking-in-sim).
-            if tok.kind == "id" and text in BLOCKING_IDS and i >= 2 \
-                    and toks[i - 1].text == "::" and toks[i - 2].text == "std":
-                self.fact("no-blocking-in-sim", "blocking", i,
-                          f"std::{text}", fn)
-            if text in ("sleep_for", "sleep_until") and i >= 2 \
-                    and toks[i - 1].text == "::" \
-                    and toks[i - 2].text == "this_thread":
-                self.fact("no-blocking-in-sim", "blocking", i,
-                          f"std::this_thread::{text}", fn)
-
             # Calls.
             if tok.kind == "id" and i + 1 < end and toks[i + 1].text == "(":
                 self._record_call(fn, i, held=held_caps())
@@ -1035,6 +1053,8 @@ class FileParser:
             return True
         if prev.kind in ("id", "num") or prev.text in (")", "]"):
             return False  # subscript
+        if prev.text == "[":
+            return False  # inner bracket of [[attribute]]
         return True
 
     def _scan_lambda(self, fn, i, end):
@@ -1272,186 +1292,6 @@ class FileParser:
         }
 
 
-def extract_file_internal(relpath: str, text: str) -> dict:
-    return FileParser(relpath, text).ir()
-
-
-# --- libclang frontend -------------------------------------------------------
-
-class LibclangFrontend:
-    """Parses each TU with clang.cindex and lowers the AST into the same IR
-    the internal frontend produces. Requires the `libclang` wheel (CI pins
-    it); `available()` gates use."""
-
-    name = "libclang"
-
-    def __init__(self):
-        import clang.cindex as cindex  # noqa: deferred import
-        self.cindex = cindex
-        self.index = cindex.Index.create()
-
-    @staticmethod
-    def available():
-        try:
-            import clang.cindex as cindex
-            cindex.Index.create()
-            return True
-        except Exception:  # ImportError or missing libclang.so
-            return False
-
-    def version(self):
-        try:
-            return self.cindex.conf.lib.clang_getClangVersion()
-        except Exception:
-            return "libclang"
-
-    def tu_ir(self, tu_path: Path, command: str, root: Path) -> dict:
-        cindex = self.cindex
-        args = [a for a in command.split()[1:]
-                if not a.endswith((".cc", ".cpp", ".o")) and a != "-c"
-                and a != "-o"]
-        tu = self.index.parse(str(tu_path), args=args)
-        files: dict = {}
-
-        def rel_of(location):
-            if location.file is None:
-                return None
-            try:
-                return Path(str(location.file)).resolve() \
-                    .relative_to(root).as_posix()
-            except ValueError:
-                return None
-
-        def file_ir(rel):
-            return files.setdefault(
-                rel, {"functions": [], "file_facts": [], "classes": [],
-                      "is_coro": False})
-
-        def qname(cursor):
-            parts = []
-            c = cursor
-            while c is not None and c.kind != cindex.CursorKind.TRANSLATION_UNIT:
-                if c.spelling:
-                    parts.insert(0, c.spelling)
-                c = c.semantic_parent
-            return "::".join(parts)
-
-        fn_kinds = {
-            cindex.CursorKind.FUNCTION_DECL, cindex.CursorKind.CXX_METHOD,
-            cindex.CursorKind.CONSTRUCTOR, cindex.CursorKind.DESTRUCTOR,
-            cindex.CursorKind.FUNCTION_TEMPLATE,
-        }
-
-        def lower_function(cursor, rel):
-            fn = {
-                "qname": qname(cursor), "name": cursor.spelling,
-                "file": rel, "line": cursor.location.line,
-                "calls": [], "facts": [],
-            }
-
-            def add_fact(rule, kind, line, detail):
-                fn["facts"].append({"rule": rule, "kind": kind,
-                                    "line": line, "detail": detail})
-
-            def walk(node):
-                k = node.kind
-                if k == cindex.CursorKind.CALL_EXPR:
-                    ref = node.referenced
-                    callee = qname(ref) if ref is not None else node.spelling
-                    simple = (ref.spelling if ref is not None
-                              else node.spelling) or ""
-                    if simple:
-                        fn["calls"].append(
-                            [callee or simple, simple, node.location.line])
-                        if simple == "now" and any(
-                                c in (callee or "") for c in WALL_CLOCKS):
-                            add_fact("determinism-taint", "wall-clock",
-                                     node.location.line,
-                                     f"`{callee}()` — wall/steady clock read")
-                        elif simple == "get_id" and "this_thread" in \
-                                (callee or ""):
-                            add_fact("determinism-taint", "thread-id",
-                                     node.location.line,
-                                     f"`{callee}()` — thread identity")
-                elif k == cindex.CursorKind.CXX_REINTERPRET_CAST_EXPR:
-                    operands = list(node.get_children())
-                    if "*" not in node.type.spelling and operands and \
-                            "*" in operands[-1].type.spelling:
-                        add_fact("determinism-taint", "pointer-to-int",
-                                 node.location.line,
-                                 "reinterpret_cast of pointer bits to an "
-                                 "integer")
-                elif k == cindex.CursorKind.CXX_FOR_RANGE_STMT:
-                    children = list(node.get_children())
-                    if len(children) >= 2 and \
-                            "unordered_" in children[-2].type.spelling:
-                        add_fact("determinism-taint", "unordered-iter",
-                                 node.location.line,
-                                 "iteration over an unordered container")
-                for child in node.get_children():
-                    walk(child)
-
-            for child in cursor.get_children():
-                walk(child)
-            return fn
-
-        def top(node):
-            rel = rel_of(node.location)
-            if node.kind in fn_kinds and node.is_definition() \
-                    and rel is not None:
-                file_ir(rel)["functions"].append(lower_function(node, rel))
-                return
-            for child in node.get_children():
-                top(child)
-
-        top(tu.cursor)
-
-        # Token-level facts the cursor walk does not model (type decls,
-        # coroutine markers, class members, RAII lock scopes) come from the
-        # shared internal scanners, applied per file, so both frontends agree
-        # on them exactly.
-        lock_rules = ("shared-state-unguarded", "lock-order-cycle",
-                      "lock-held-blocking")
-        for rel in list(files) + [p for p in (rel_of_path(tu_path, root),)
-                                  if p is not None and p not in files]:
-            try:
-                text = (root / rel).read_text(encoding="utf-8",
-                                              errors="replace")
-            except OSError:
-                continue
-            internal = FileParser(rel, text).ir()
-            ir = file_ir(rel)
-            ir["file_facts"] = internal["file_facts"]
-            ir["is_coro"] = internal["is_coro"]
-            ir["classes"] = internal["classes"]
-            # Graft the internal frontend's lock-discipline payload onto the
-            # cursor-walk functions. Matching (line, qname) definitions merge
-            # in place; lock-relevant functions the cursor walk spelled
-            # differently are prepended stripped to lock facts only, so
-            # Program's first-wins dedup cannot shadow libclang's own facts
-            # and no finding is ever emitted twice.
-            by_key = {(fn["line"], fn["qname"]): fn
-                      for fn in ir["functions"]}
-            extra = []
-            for fn in internal["functions"]:
-                lock_facts = [f for f in fn["facts"]
-                              if f["rule"] in lock_rules]
-                if not (lock_facts or fn["locked_calls"] or fn["blocking"]):
-                    continue
-                target = by_key.get((fn["line"], fn["qname"]))
-                if target is not None:
-                    target["facts"].extend(lock_facts)
-                    target.setdefault("locked_calls",
-                                      []).extend(fn["locked_calls"])
-                    target.setdefault("blocking", []).extend(fn["blocking"])
-                else:
-                    fn = dict(fn)
-                    fn["facts"] = lock_facts
-                    extra.append(fn)
-            ir["functions"] = extra + ir["functions"]
-        return {"files": files}
-
-
 def rel_of_path(path: Path, root: Path):
     try:
         return path.resolve().relative_to(root).as_posix()
@@ -1459,119 +1299,31 @@ def rel_of_path(path: Path, root: Path):
         return None
 
 
-# --- Dependency scanning (same contract as run_clang_tidy.py) ---------------
-
-INCLUDE_RE = re.compile(r'^\s*#\s*include\s+("([^"]+)"|<([^>]+)>)',
-                        re.MULTILINE)
-INCLUDE_DIR_RE = re.compile(r"(?:^|\s)-(?:I|isystem)\s*(\S+)")
-
-
-class DependencyScanner:
-    """Transitive project-header closure of a TU, with memoized per-file
-    token digests (the cache-key component)."""
+class TokenScanner(lint_cache.DependencyScanner):
+    """The shared include scanner plus memoized per-file token digests (the
+    cache-key component) and token line tables (the remap table for cached
+    facts)."""
 
     def __init__(self, root: Path):
-        self.root = root
-        self._direct: dict = {}
-        self._text: dict = {}
+        super().__init__(root)
         self._digest: dict = {}
         self._token_lines: dict = {}
-
-    def read(self, path: Path) -> str:
-        data = self._text.get(path)
-        if data is None:
-            try:
-                data = path.read_text(encoding="utf-8", errors="replace")
-            except OSError:
-                data = ""
-            self._text[path] = data
-        return data
 
     def digest(self, path: Path) -> bytes:
         d = self._digest.get(path)
         if d is None:
-            d = token_digest(self.read(path))
+            d = token_digest(self.text(path))
             self._digest[path] = d
         return d
 
     def token_lines(self, path: Path):
-        """Current line number of each token index — the remap table for
-        cached facts (a cache hit guarantees an identical token stream)."""
+        """Current line number of each token index (a cache hit guarantees
+        an identical token stream)."""
         lines = self._token_lines.get(path)
         if lines is None:
-            lines = [t.line for t in tokenize(self.read(path))]
+            lines = [t.line for t in tokenize(self.text(path))]
             self._token_lines[path] = lines
         return lines
-
-    def _direct_includes(self, path: Path):
-        cached = self._direct.get(path)
-        if cached is None:
-            cached = []
-            for m in INCLUDE_RE.finditer(self.read(path)):
-                if m.group(2) is not None:
-                    cached.append((m.group(2), True))
-                else:
-                    cached.append((m.group(3), False))
-            self._direct[path] = cached
-        return cached
-
-    def _resolve(self, spec, is_quote, includer: Path, include_dirs):
-        bases = ([includer.parent] if is_quote else []) + include_dirs
-        for base in bases:
-            candidate = base / spec
-            if candidate.is_file():
-                candidate = candidate.resolve()
-                try:
-                    candidate.relative_to(self.root)
-                except ValueError:
-                    return None
-                return candidate
-        return None
-
-    def closure(self, tu: Path, include_dirs):
-        seen = set()
-        stack = [tu]
-        while stack:
-            current = stack.pop()
-            for spec, is_quote in self._direct_includes(current):
-                target = self._resolve(spec, is_quote, current, include_dirs)
-                if target is not None and target not in seen and target != tu:
-                    seen.add(target)
-                    stack.append(target)
-        return sorted(seen)
-
-
-def include_dirs_of(command: str, directory: Path):
-    dirs = []
-    for m in INCLUDE_DIR_RE.finditer(command):
-        raw = m.group(1).strip('"')
-        path = Path(raw)
-        if not path.is_absolute():
-            path = directory / path
-        dirs.append(path)
-    return dirs
-
-
-def load_database(db_path: Path, root: Path):
-    tus = []
-    for entry in json.loads(db_path.read_text(encoding="utf-8")):
-        path = Path(entry["file"])
-        if not path.is_absolute():
-            path = Path(entry["directory"]) / path
-        path = path.resolve()
-        try:
-            rel = path.relative_to(root)
-        except ValueError:
-            continue
-        if not (rel.parts and rel.parts[0] in LINT_DIRS):
-            continue
-        command = entry.get("command")
-        if command is None:
-            command = " ".join(entry.get("arguments", []))
-        tus.append((path, Path(entry["directory"]), command))
-    unique = {str(path): (path, directory, command)
-              for path, directory, command in tus}
-    return [unique[key] for key in sorted(unique)]
 
 
 # --- Cross-TU analysis -------------------------------------------------------
@@ -1791,6 +1543,12 @@ def _find_cycle_through(graph, a, b):
     return None
 
 
+def coro_ref_capture_message(fact):
+    return (f"{fact['detail']}; the coroutine frame outlives the enclosing "
+            "scope, so the reference dangles at resume time — pass by value "
+            "or use a named coroutine whose caller owns the referents")
+
+
 def analyze_program(files: dict):
     """Findings (pre-suppression) for the merged per-file IRs."""
     program = Program(files)
@@ -1833,16 +1591,7 @@ def analyze_program(files: dict):
                      fact["kind"])
             elif rule == "coro-ref-capture":
                 emit(rule, fn["file"], fact["line"],
-                     f"{fact['detail']}; the coroutine frame outlives the "
-                     "enclosing scope, so the reference dangles at resume "
-                     "time", fact["kind"])
-            elif rule == "no-blocking-in-sim":
-                if files.get(fn["file"], {}).get("is_coro"):
-                    emit(rule, fn["file"], fact["line"],
-                         f"{fact['detail']} in a coroutine TU; simulated "
-                         "time and synchronization must come from the "
-                         "calendar (sim::Delay, Events, Semaphores)",
-                         fact["kind"])
+                     coro_ref_capture_message(fact), fact["kind"])
             elif rule == "shared-state-unguarded":
                 if fact["kind"] == "local-static" and fact.get("mutated") \
                         and fn["id"] in preach \
@@ -1941,6 +1690,14 @@ def analyze_program(files: dict):
                      f"{fact['detail']}; pointer order is ASLR-random across "
                      "sweep-worker processes — key on a stable id instead",
                      fact["kind"])
+            elif rule == "coro-ref-capture":
+                emit(rule, rel, fact["line"], coro_ref_capture_message(fact),
+                     fact["kind"])
+            elif rule == "no-blocking-in-sim" and files[rel].get("is_coro"):
+                emit(rule, rel, fact["line"],
+                     f"{fact['detail']} in a coroutine TU; simulated time and "
+                     "synchronization must come from the calendar "
+                     "(sim::Delay, Events, Semaphores)", fact["kind"])
         for cls in files[rel].get("classes", ()):
             if not cls["has_cap"]:
                 continue
@@ -1996,10 +1753,9 @@ def apply_suppressions(findings, root: Path):
 
 # --- Cache -------------------------------------------------------------------
 
-def cache_key(frontend_id: str, scanner: DependencyScanner, tu: Path,
-              include_dirs) -> str:
+def cache_key(scanner: TokenScanner, tu: Path, include_dirs) -> str:
     h = hashlib.sha256()
-    for part in (SCHEMA, frontend_id, rules_digest()):
+    for part in (SCHEMA, rules_digest()):
         h.update(part.encode("utf-8"))
         h.update(b"\0")
     h.update(scanner.digest(tu))
@@ -2010,24 +1766,9 @@ def cache_key(frontend_id: str, scanner: DependencyScanner, tu: Path,
     return h.hexdigest()
 
 
-def cache_load(cache_dir: Path, key: str):
-    try:
-        return json.loads((cache_dir / f"{key}.json").read_text(
-            encoding="utf-8"))
-    except (OSError, ValueError):
-        return None
-
-
-def cache_store(cache_dir: Path, key: str, doc: dict):
-    entry = cache_dir / f"{key}.json"
-    tmp = entry.with_suffix(".tmp")
-    tmp.write_text(json.dumps(doc), encoding="utf-8")
-    tmp.replace(entry)
-
-
 # --- Driver ------------------------------------------------------------------
 
-def remap_lines(ir: dict, scanner: DependencyScanner, root: Path):
+def remap_lines(ir: dict, scanner: TokenScanner, root: Path):
     """Rewrites fact/function line numbers from token anchors against the
     *current* sources. Cached IR may predate comment-only edits that shifted
     lines; the token stream is unchanged (cache-key invariant), so the token
@@ -2052,8 +1793,8 @@ def remap_lines(ir: dict, scanner: DependencyScanner, root: Path):
                 entry["line"] = table[tok]
 
 
-def internal_tu_ir(tu: Path, closure, root: Path, scanner: DependencyScanner,
-                   file_memo: dict) -> dict:
+def tu_ir(tu: Path, closure, root: Path, scanner: TokenScanner,
+          file_memo: dict) -> dict:
     files = {}
     for path in [tu] + list(closure):
         rel = rel_of_path(path, root)
@@ -2061,7 +1802,7 @@ def internal_tu_ir(tu: Path, closure, root: Path, scanner: DependencyScanner,
             continue
         ir = file_memo.get(rel)
         if ir is None:
-            ir = extract_file_internal(rel, scanner.read(path))
+            ir = FileParser(rel, scanner.text(path)).ir()
             file_memo[rel] = ir
         files[rel] = ir
     return {"files": files}
@@ -2072,8 +1813,6 @@ def main(argv):
     parser.add_argument("--build-dir", default="build",
                         help="build tree containing compile_commands.json")
     parser.add_argument("--source-root", default=".")
-    parser.add_argument("--frontend", choices=("auto", "libclang", "internal"),
-                        default="auto")
     parser.add_argument("--report", help="write a JSON findings report here")
     parser.add_argument("--cache-dir",
                         help="per-TU IR cache (default: BUILD_DIR/analyze-cache)")
@@ -2085,8 +1824,6 @@ def main(argv):
                              "this wall time (0 = off)")
     parser.add_argument("--stats", action="store_true",
                         help="print cache/timing statistics")
-    parser.add_argument("--advisory", action="store_true",
-                        help="report findings but exit 0 (CI advisory pass)")
     parser.add_argument("--list-rules", action="store_true")
     args = parser.parse_args(argv)
 
@@ -2106,23 +1843,7 @@ def main(argv):
               "CMAKE_EXPORT_COMPILE_COMMANDS=ON first", file=sys.stderr)
         return 2
 
-    frontend = None
-    frontend_name = "internal"
-    if args.frontend in ("auto", "libclang"):
-        if LibclangFrontend.available():
-            frontend = LibclangFrontend()
-            frontend_name = "libclang"
-        elif args.frontend == "libclang":
-            print("emsim_analyze: python libclang bindings (clang.cindex) "
-                  "not found; skipping the libclang frontend — install the "
-                  "pinned wheel (see docs/STATIC_ANALYSIS.md) or use "
-                  "--frontend internal", file=sys.stderr)
-            return 4
-        else:
-            print("emsim_analyze: libclang unavailable; using the internal "
-                  "frontend (token-level precision)", file=sys.stderr)
-
-    tus = load_database(db_path, root)
+    tus = lint_cache.load_database(db_path, root, LINT_DIRS)
     if not tus:
         print("emsim_analyze: no files under "
               f"{'/'.join(LINT_DIRS)} in the compilation database",
@@ -2135,50 +1856,43 @@ def main(argv):
                      else build_dir / "analyze-cache")
         cache_dir.mkdir(parents=True, exist_ok=True)
 
-    frontend_id = frontend_name if frontend_name == "internal" else \
-        f"libclang:{frontend.version()}"
-    scanner = DependencyScanner(root)
+    scanner = TokenScanner(root)
     file_memo: dict = {}
     merged_files: dict = {}
     hits = 0
     timings = []
     for tu, directory, command in tus:
         tu_started = time.monotonic()
-        dirs = include_dirs_of(command, directory)
-        key = cache_key(frontend_id, scanner, tu, dirs)
-        cached = cache_load(cache_dir, key) if cache_dir is not None else None
-        if cached is not None:
-            ir = cached
+        dirs = lint_cache.include_dirs_of(command, directory)
+        key = cache_key(scanner, tu, dirs)
+        ir = (lint_cache.load_entry(cache_dir, key)
+              if cache_dir is not None else None)
+        cached = ir is not None
+        if cached:
             hits += 1
         else:
-            if frontend_name == "libclang":
-                ir = frontend.tu_ir(tu, command, root)
-            else:
-                ir = internal_tu_ir(tu, scanner.closure(tu, dirs), root,
-                                    scanner, file_memo)
+            ir = tu_ir(tu, scanner.closure(tu, dirs), root, scanner, file_memo)
             if cache_dir is not None:
-                cache_store(cache_dir, key, ir)
+                lint_cache.store_entry(cache_dir, key, ir)
         remap_lines(ir, scanner, root)
         for rel, file_ir in ir["files"].items():
             merged_files.setdefault(rel, file_ir)
         timings.append({"file": rel_of_path(tu, root) or str(tu),
-                        "cached": cached is not None,
+                        "cached": cached,
                         "duration_seconds":
                             round(time.monotonic() - tu_started, 4)})
+    if cache_dir is not None:
+        lint_cache.gc_entries(cache_dir)
 
     findings = analyze_program(merged_files)
     findings, suppressions = apply_suppressions(findings, root)
 
     wall = time.monotonic() - started
-    hit_ratio = hits / len(tus)
-    warm = hit_ratio >= 0.5
-    over_budget = (args.warm_budget_seconds > 0 and warm
-                   and wall > args.warm_budget_seconds)
-
+    over_budget = lint_cache.over_warm_budget(args.warm_budget_seconds, hits,
+                                              len(tus), wall)
     report = {
         "tool": "emsim_analyze",
         "version": 1,
-        "frontend": frontend_name,
         "tus": len(tus),
         "files_indexed": len(merged_files),
         "findings": findings,
@@ -2188,46 +1902,30 @@ def main(argv):
         Path(args.report).write_text(json.dumps(report, indent=2) + "\n",
                                      encoding="utf-8")
     if args.timing_report:
-        timings.sort(key=lambda t: t["file"])
-        Path(args.timing_report).write_text(json.dumps({
-            "tool": "emsim_analyze",
-            "version": 1,
-            "frontend": frontend_name,
-            "wall_seconds": round(wall, 3),
-            "cache": {
-                "enabled": cache_dir is not None,
-                "dir": str(cache_dir) if cache_dir is not None else None,
-                "hits": hits,
-                "misses": len(tus) - hits,
-                "hit_ratio": round(hit_ratio, 4),
-            },
-            "warm_budget_seconds": args.warm_budget_seconds or None,
-            "over_budget": over_budget,
-            "files": timings,
-        }, indent=2) + "\n", encoding="utf-8")
+        lint_cache.write_timing_report(
+            args.timing_report,
+            lint_cache.timing_report(
+                "emsim_analyze", wall, cache_dir, hits, timings,
+                warm_budget_seconds=args.warm_budget_seconds or None,
+                over_budget=over_budget))
 
     for f in findings:
         print(f"{f['path']}:{f['line']}: [{f['rule']}] {f['message']}")
         if f.get("snippet"):
             print(f"    {f['snippet']}")
-    status = (f"emsim_analyze: {frontend_name} frontend, {len(tus)} TUs "
-              f"({len(merged_files)} files), {len(findings)} finding(s), "
-              f"{len(suppressions)} suppression(s), {hits} cached "
-              f"({hit_ratio:.0%}), {wall:.1f}s wall")
+    status = (f"emsim_analyze: {len(tus)} TUs ({len(merged_files)} files), "
+              f"{len(findings)} finding(s), {len(suppressions)} "
+              f"suppression(s), {hits} cached ({hits / len(tus):.0%}), "
+              f"{wall:.1f}s wall")
     print(status, file=sys.stderr if findings else sys.stdout)
-    if args.stats and timings:
-        slowest = sorted(timings, key=lambda t: -t["duration_seconds"])[:5]
-        for entry in slowest:
-            print(f"  {entry['duration_seconds']:7.3f}s "
-                  f"{'hit ' if entry['cached'] else 'miss'} {entry['file']}")
+    if args.stats:
+        lint_cache.print_slowest(timings)
     if over_budget:
         print(f"emsim_analyze: warm run exceeded the "
               f"{args.warm_budget_seconds:.0f}s budget — trim rules or raise "
               "the budget deliberately", file=sys.stderr)
         return 1
-    if findings and not args.advisory:
-        return 1
-    return 0
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":

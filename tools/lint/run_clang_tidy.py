@@ -49,101 +49,20 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import multiprocessing
-import re
 import subprocess
 import sys
 import time
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import lint_cache  # noqa: E402
 
 LINT_DIRS = ("src", "tools", "bench", "tests")
 
 # Bump to invalidate every cache entry (e.g. when the runner's notion of a
 # TU's inputs changes).
 CACHE_SCHEMA = "2"
-
-# Entries beyond this are GC'd oldest-first; generous — the repo has ~100 TUs,
-# so even many branches' worth of keys fit.
-CACHE_MAX_ENTRIES = 4096
-
-INCLUDE_RE = re.compile(r'^\s*#\s*include\s+("([^"]+)"|<([^>]+)>)', re.MULTILINE)
-INCLUDE_DIR_RE = re.compile(r"(?:^|\s)-(?:I|isystem)\s*(\S+)")
-
-
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
-class DependencyScanner:
-    """Resolves the transitive project-header closure of a TU by scanning
-    #include directives. Header dep-sets are memoized, so shared headers are
-    parsed once per run, not once per includer."""
-
-    def __init__(self, root: Path):
-        self.root = root
-        self._direct: dict[Path, list] = {}   # file -> [(spec, is_quote)]
-        self._text: dict[Path, bytes] = {}
-
-    def read(self, path: Path) -> bytes:
-        data = self._text.get(path)
-        if data is None:
-            try:
-                data = path.read_bytes()
-            except OSError:
-                data = b""
-            self._text[path] = data
-        return data
-
-    def _direct_includes(self, path: Path):
-        cached = self._direct.get(path)
-        if cached is None:
-            cached = []
-            for m in INCLUDE_RE.finditer(self.read(path).decode("utf-8", "replace")):
-                if m.group(2) is not None:
-                    cached.append((m.group(2), True))
-                else:
-                    cached.append((m.group(3), False))
-            self._direct[path] = cached
-        return cached
-
-    def _resolve(self, spec: str, is_quote: bool, includer: Path, include_dirs):
-        bases = ([includer.parent] if is_quote else []) + include_dirs
-        for base in bases:
-            candidate = (base / spec)
-            if candidate.is_file():
-                candidate = candidate.resolve()
-                try:
-                    candidate.relative_to(self.root)
-                except ValueError:
-                    return None  # outside the tree: toolchain header
-                return candidate
-        return None
-
-    def closure(self, tu: Path, include_dirs) -> list[Path]:
-        """Every project file the TU transitively includes (excluding the TU
-        itself), sorted for stable hashing."""
-        seen: set[Path] = set()
-        stack = [tu]
-        while stack:
-            current = stack.pop()
-            for spec, is_quote in self._direct_includes(current):
-                target = self._resolve(spec, is_quote, current, include_dirs)
-                if target is not None and target not in seen and target != tu:
-                    seen.add(target)
-                    stack.append(target)
-        return sorted(seen)
-
-
-def include_dirs_of(command: str, directory: Path):
-    dirs = []
-    for m in INCLUDE_DIR_RE.finditer(command):
-        raw = m.group(1).strip('"')
-        path = Path(raw)
-        if not path.is_absolute():
-            path = directory / path
-        dirs.append(path)
-    return dirs
 
 
 def tidy_version(clang_tidy: str) -> str:
@@ -157,7 +76,7 @@ def tidy_version(clang_tidy: str) -> str:
 
 
 def cache_key(version: str, config: bytes, command: str,
-              scanner: DependencyScanner, tu: Path, include_dirs) -> str:
+              scanner: lint_cache.DependencyScanner, tu: Path, include_dirs) -> str:
     h = hashlib.sha256()
     for part in (CACHE_SCHEMA, version, command):
         h.update(part.encode("utf-8"))
@@ -173,29 +92,11 @@ def cache_key(version: str, config: bytes, command: str,
 
 
 def cache_load(cache_dir: Path, key: str):
-    entry = cache_dir / f"{key}.json"
+    doc = lint_cache.load_entry(cache_dir, key)
     try:
-        doc = json.loads(entry.read_text(encoding="utf-8"))
         return int(doc["exit"]), str(doc["output"])
-    except (OSError, ValueError, KeyError):
+    except (TypeError, ValueError, KeyError):
         return None
-
-
-def cache_store(cache_dir: Path, key: str, path: str, code: int, output: str):
-    entry = cache_dir / f"{key}.json"
-    tmp = entry.with_suffix(".tmp%d" % multiprocessing.current_process().pid)
-    tmp.write_text(json.dumps({"file": path, "exit": code, "output": output}),
-                   encoding="utf-8")
-    tmp.replace(entry)  # atomic: concurrent shards may race on the same key
-
-
-def cache_gc(cache_dir: Path):
-    entries = sorted(cache_dir.glob("*.json"), key=lambda p: p.stat().st_mtime)
-    for stale in entries[:-CACHE_MAX_ENTRIES]:
-        try:
-            stale.unlink()
-        except OSError:
-            pass
 
 
 def tidy_one(task):
@@ -219,31 +120,9 @@ def tidy_one(task):
         return (path, 127, f"run_clang_tidy: {clang_tidy}: no such executable\n",
                 time.monotonic() - start, False)
     if cache_dir is not None:
-        cache_store(cache_dir, key, path, code, output)
+        lint_cache.store_entry(cache_dir, key,
+                               {"file": path, "exit": code, "output": output})
     return path, code, output, time.monotonic() - start, False
-
-
-def load_database(db_path: Path, root: Path):
-    """[(abs file, directory, command)] for every TU under LINT_DIRS."""
-    tus = []
-    for entry in json.loads(db_path.read_text(encoding="utf-8")):
-        path = Path(entry["file"])
-        if not path.is_absolute():
-            path = Path(entry["directory"]) / path
-        path = path.resolve()
-        try:
-            rel = path.relative_to(root)
-        except ValueError:
-            continue
-        if not (rel.parts and rel.parts[0] in LINT_DIRS):
-            continue
-        command = entry.get("command")
-        if command is None:
-            command = " ".join(entry.get("arguments", []))
-        tus.append((path, Path(entry["directory"]), command))
-    unique = {str(path): (path, directory, command)
-              for path, directory, command in tus}
-    return [unique[key] for key in sorted(unique)]
 
 
 def main(argv):
@@ -274,7 +153,7 @@ def main(argv):
         return 1
     root = Path(args.source_root).resolve()
 
-    tus = load_database(db_path, root)
+    tus = lint_cache.load_database(db_path, root, LINT_DIRS)
     if not tus:
         print("run_clang_tidy: no files under "
               f"{'/'.join(LINT_DIRS)} in the compilation database", file=sys.stderr)
@@ -288,12 +167,12 @@ def main(argv):
     version = tidy_version(args.clang_tidy)
     config_path = root / ".clang-tidy"
     config = config_path.read_bytes() if config_path.is_file() else b""
-    scanner = DependencyScanner(root)
+    scanner = lint_cache.DependencyScanner(root)
 
     tasks = []
     for path, directory, command in tus:
         key = cache_key(version, config, command, scanner, path,
-                        include_dirs_of(command, directory))
+                        lint_cache.include_dirs_of(command, directory))
         tasks.append((args.clang_tidy, str(build_dir), str(path), key, cache_dir))
 
     jobs = args.jobs if args.jobs > 0 else (multiprocessing.cpu_count() or 1)
@@ -312,34 +191,19 @@ def main(argv):
             chunks.append(f"==> {path} (exit {code}{', cached' if cached else ''})\n"
                           f"{output}")
     if cache_dir is not None:
-        cache_gc(cache_dir)
+        lint_cache.gc_entries(cache_dir)
     if args.report:
         Path(args.report).write_text("".join(chunks), encoding="utf-8")
 
     wall = time.monotonic() - started
     hit_ratio = hits / len(tasks)
-    warm = hit_ratio >= 0.5
-    over_budget = (args.warm_budget_seconds > 0 and warm
-                   and wall > args.warm_budget_seconds)
-
+    over_budget = lint_cache.over_warm_budget(args.warm_budget_seconds, hits,
+                                              len(tasks), wall)
     if args.timing_report:
-        timings.sort(key=lambda t: t["file"])
-        Path(args.timing_report).write_text(json.dumps({
-            "tool": "run_clang_tidy",
-            "version": 1,
-            "jobs": jobs,
-            "wall_seconds": round(wall, 3),
-            "cache": {
-                "enabled": cache_dir is not None,
-                "dir": str(cache_dir) if cache_dir is not None else None,
-                "hits": hits,
-                "misses": len(tasks) - hits,
-                "hit_ratio": round(hit_ratio, 4),
-            },
-            "warm_budget_seconds": args.warm_budget_seconds or None,
-            "over_budget": over_budget,
-            "files": timings,
-        }, indent=2) + "\n", encoding="utf-8")
+        lint_cache.write_timing_report(args.timing_report, lint_cache.timing_report(
+            "run_clang_tidy", wall, cache_dir, hits, timings, jobs=jobs,
+            warm_budget_seconds=args.warm_budget_seconds or None,
+            over_budget=over_budget))
 
     status = (f"run_clang_tidy: {len(tasks)} files, {failures} with findings, "
               f"{hits} cached ({hit_ratio:.0%}), {wall:.1f}s wall")

@@ -29,8 +29,6 @@ def row(path: str) -> str:
     ratio = cache.get("hit_ratio")
     ratio_text = f"{ratio:.0%}" if isinstance(ratio, (int, float)) else "n/a"
     extra = []
-    if data.get("frontend"):
-        extra.append(f"frontend={data['frontend']}")
     if data.get("over_budget"):
         extra.append("**over budget**")
     return (f"| {data.get('tool', path)} | {data.get('wall_seconds', 0):.2f}s "
