@@ -77,7 +77,7 @@ core::ExperimentResult Record(const core::MergeConfig& config,
 }  // namespace
 
 core::ExperimentResult Run(const core::MergeConfig& config, const std::string& name) {
-  return Record(config, core::RunTrialsParallel(config, Trials(), Threads()), name);
+  return Record(config, core::RunTrials(config, Trials(), Threads()), name);
 }
 
 std::vector<core::ExperimentResult> RunSweep(const std::vector<core::MergeConfig>& configs) {

@@ -9,7 +9,6 @@
 
 #include "core/merge_simulator.h"
 #include "core/result.h"
-#include "extsort/record.h"
 #include "util/check.h"
 #include "util/mutex.h"
 #include "util/status.h"
@@ -166,21 +165,8 @@ SweepRangeOutcome RunSweepRange(const SweepGrid& grid, int begin, int end, int n
   return out;
 }
 
-ExperimentResult RunTrials(const MergeConfig& config, int num_trials,
+ExperimentResult RunTrials(const MergeConfig& config, int num_trials, int num_threads,
                            const TrialDeadline& deadline) {
-  EMSIM_CHECK(num_trials >= 1);
-  SweepGrid grid({SweepUnit{"", config, num_trials}});
-  // Serial (single-threaded) execution, trial order — the reference runner.
-  SweepRangeOutcome outcome = RunSweepRange(grid, 0, grid.total_tasks(), 1, deadline);
-  EMSIM_CHECK_MSG(outcome.ok(),
-                  StrFormat("trial %d failed: %s", outcome.failed_task,
-                            outcome.status.ToString().c_str())
-                      .c_str());
-  return AggregateTrials(std::move(outcome.results));
-}
-
-ExperimentResult RunTrialsParallel(const MergeConfig& config, int num_trials,
-                                   int num_threads, const TrialDeadline& deadline) {
   EMSIM_CHECK(num_trials >= 1);
   SweepGrid grid({SweepUnit{"", config, num_trials}});
   SweepRangeOutcome outcome = RunSweepRange(grid, 0, grid.total_tasks(), num_threads, deadline);

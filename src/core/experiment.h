@@ -123,29 +123,24 @@ SweepRangeOutcome RunSweepRange(const SweepGrid& grid, int begin, int end, int n
 /// single-process run would have produced from the same per-trial results.
 ExperimentResult AggregateTrials(std::vector<MergeResult> trials);
 
-/// Runs `num_trials` trials with seeds seed, seed+1, ... and aggregates.
-/// Aborts on configuration errors (experiments are programmed, not user
-/// input); use MergeSimulator::Run directly for Status-based handling.
-ExperimentResult RunTrials(const MergeConfig& config, int num_trials,
+/// Runs `num_trials` trials with seeds seed, seed+1, ... and aggregates them
+/// in seed order. `num_threads` picks the parallelism on the process-wide
+/// worker pool (1 = inline on the caller in trial order, the reference; 0 =
+/// hardware concurrency). Each trial's simulation is fully independent and
+/// deterministic per seed, so the aggregate is bit-identical for every
+/// thread count. Aborts on the lowest-index trial failure, from the joining
+/// thread and never from inside a pool worker, since experiments are
+/// programmed, not user input; use MergeSimulator::Run directly for
+/// Status-based handling.
+ExperimentResult RunTrials(const MergeConfig& config, int num_trials, int num_threads = 1,
                            const TrialDeadline& deadline = {});
-
-/// Same trials, run on the process-wide worker pool with `num_threads`-way
-/// parallelism (0 = hardware concurrency). Each trial's simulation is fully
-/// independent and deterministic per seed, and trials are aggregated in seed
-/// order, so the aggregate is bit-identical to RunTrials for every thread
-/// count. A trial failure is reported from the joining thread (the worker
-/// records the failure with the lowest trial index; the join aborts with its
-/// status), never from inside a pool worker.
-ExperimentResult RunTrialsParallel(const MergeConfig& config, int num_trials,
-                                   int num_threads = 0,
-                                   const TrialDeadline& deadline = {});
 
 /// Runs every unit's trials on the shared worker pool, flattening the
 /// unit × trial grid into one task space so a sweep keeps all threads busy
 /// even when per-unit trial counts are small (units may differ in trial
 /// count — the shape an experiment spec file produces). Results are
 /// aggregated per unit, in the order given, with the same
-/// bit-identical-to-serial guarantee as RunTrialsParallel. Aborts on the
+/// bit-identical-to-serial guarantee as RunTrials. Aborts on the
 /// lowest-index task failure like the other runners.
 std::vector<ExperimentResult> RunSweep(const std::vector<SweepUnit>& units,
                                        int num_threads = 0,

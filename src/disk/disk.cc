@@ -135,9 +135,6 @@ sim::Process Disk::Serve() {
     }
 
     AccessCost cost = mechanism_.Access(req.start_block, req.nblocks, rng_, sim_->Now());
-    if (on_request_served) {
-      on_request_served(req, cost);
-    }
     stats_.seek_ms += cost.seek_ms;
     stats_.rotation_ms += cost.rotation_ms;
     stats_.transfer_ms += cost.transfer_ms;

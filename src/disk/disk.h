@@ -160,11 +160,6 @@ class Disk {
   /// maintain the cross-disk concurrency statistic.
   std::function<void(int disk_id, bool busy)> on_busy_changed;
 
-  /// Observer invoked when a request enters service, with its priced cost —
-  /// the hook for tracing and for statistical validation of the seek model
-  /// (e.g. chi-square against the Kwan-Baer distribution).
-  std::function<void(const DiskRequest&, const AccessCost&)> on_request_served;
-
   std::string ToString() const;
 
  private:

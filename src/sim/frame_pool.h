@@ -18,8 +18,9 @@ namespace emsim::sim {
 /// lifetime — steady-state spawn/finish cycles do not touch the heap.
 ///
 /// The pool is thread-local, which makes it both lock-free and safe under
-/// RunTrialsParallel: a Simulation and every frame it owns live and die on
-/// one thread, so allocation and deallocation always hit the same pool.
+/// multi-threaded RunTrials and RunSweep: a Simulation and every frame it
+/// owns live and die on one thread, so allocation and deallocation always
+/// hit the same pool.
 class FramePool {
  public:
   /// Allocation counters for the calling thread's pool. `bytes_reserved` is

@@ -322,6 +322,61 @@ class IncludeHygieneFixtureTest(unittest.TestCase):
         self.assertEqual(
             [], [f for f in findings if f["path"] == "src/util/thing.cc"])
 
+    def test_class_name_after_annotation_macro_is_exported(self):
+        findings, _ = self.run_tree({
+            "src/util/lock.h": ("#ifndef EMSIM_UTIL_LOCK_H_\n"
+                                "#define EMSIM_UTIL_LOCK_H_\n"
+                                'class EMSIM_CAPABILITY("mutex") Lock {};\n'
+                                "#endif\n"),
+            "src/a.cc": '#include "util/lock.h"\n\nLock global_lock;\n',
+        })
+        self.assertEqual([], findings)
+
+    def test_own_member_function_is_not_a_foreign_symbol(self):
+        findings, _ = self.run_tree({
+            "src/util/thing.h": self.THING_H,
+            "src/a.cc": ("class Sink {\n"
+                         " public:\n"
+                         "  void Thing(int index) { last_ = index; }\n"
+                         "\n"
+                         " private:\n"
+                         "  int last_ = 0;\n"
+                         "};\n"),
+        })
+        self.assertEqual([], findings)
+
+    def test_call_inside_a_member_body_still_needs_its_include(self):
+        findings, _ = self.run_tree({
+            "src/util/thing.h": self.THING_H,
+            "src/a.cc": ("class Sink {\n"
+                         " public:\n"
+                         "  void Put() {\n"
+                         "    auto t = Thing();\n"
+                         "  }\n"
+                         "};\n"),
+        })
+        self.assertEqual([("missing-direct-include", "Thing")],
+                         [(f["kind"], f["what"]) for f in findings])
+
+
+class IncludeHygieneCleanTreeTest(unittest.TestCase):
+    """The real tree must have no include-hygiene findings, the same gate as
+    the emsim_lint and analyzer clean-tree tests."""
+
+    def test_repository_is_clean(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            report_path = Path(tmp) / "include-hygiene-report.json"
+            proc = subprocess.run(
+                [sys.executable,
+                 str(REPO_ROOT / "tools" / "lint" / "include_hygiene.py"),
+                 "--root", str(REPO_ROOT), "--no-cache",
+                 "--report", str(report_path)],
+                stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+            self.assertEqual(0, proc.returncode, proc.stdout)
+            report = json.loads(report_path.read_text())
+            self.assertEqual([], report["findings"])
+            self.assertGreater(report["files_scanned"], 100)
+
 
 class IncludeGuardTest(unittest.TestCase):
     def test_expected_guard_derivation(self):

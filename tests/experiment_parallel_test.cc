@@ -1,12 +1,13 @@
-// RunTrialsParallel promises aggregates bit-identical to the serial path —
-// the whole paper-reproduction rests on trials being deterministic per seed
-// regardless of how they are scheduled onto threads. These tests pin that
+// Multi-threaded RunTrials promises aggregates bit-identical to the serial
+// path — the whole paper-reproduction rests on trials being deterministic
+// per seed regardless of how they are scheduled onto threads. These tests pin that
 // contract across thread counts, including the MergeResult::metrics export
 // and the JSON projection. They carry the `thread` ctest label so the
 // EMSIM_SANITIZE=thread CI job runs them under TSan.
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
@@ -78,7 +79,7 @@ TEST(RunTrialsParallelTest, BitIdenticalToSerialAcrossThreadCounts) {
   }
   for (int threads : {1, 2, hardware}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    ExperimentResult parallel = RunTrialsParallel(cfg, trials, threads);
+    ExperimentResult parallel = RunTrials(cfg, trials, threads);
     ExpectTrialsIdentical(serial, parallel);
   }
 }
@@ -86,14 +87,14 @@ TEST(RunTrialsParallelTest, BitIdenticalToSerialAcrossThreadCounts) {
 TEST(RunTrialsParallelTest, DefaultThreadCountUsesHardwareConcurrency) {
   MergeConfig cfg = SmallConfig();
   ExperimentResult serial = RunTrials(cfg, 4);
-  ExperimentResult parallel = RunTrialsParallel(cfg, 4);  // num_threads = 0.
+  ExperimentResult parallel = RunTrials(cfg, 4, /*num_threads=*/0);
   ExpectTrialsIdentical(serial, parallel);
 }
 
 TEST(RunTrialsParallelTest, JsonExportBytesIdenticalToSerial) {
   MergeConfig cfg = SmallConfig();
   ExperimentResult serial = RunTrials(cfg, 5);
-  ExperimentResult parallel = RunTrialsParallel(cfg, 5, 2);
+  ExperimentResult parallel = RunTrials(cfg, 5, 2);
   std::string doc_serial = ExperimentSetToJson({NamedExperiment{"t", cfg, &serial}});
   std::string doc_parallel = ExperimentSetToJson({NamedExperiment{"t", cfg, &parallel}});
   EXPECT_EQ(doc_serial, doc_parallel);
@@ -101,7 +102,7 @@ TEST(RunTrialsParallelTest, JsonExportBytesIdenticalToSerial) {
 
 TEST(RunTrialsParallelTest, MetricsCollectedForEveryTrial) {
   MergeConfig cfg = SmallConfig();
-  ExperimentResult parallel = RunTrialsParallel(cfg, 4, 2);
+  ExperimentResult parallel = RunTrials(cfg, 4, 2);
   for (const MergeResult& trial : parallel.trials) {
     EXPECT_FALSE(trial.metrics.empty());
   }
@@ -115,7 +116,41 @@ TEST(RunTrialsParallelDeathTest, FailureSurfacesLowestTrialIndex) {
   testing::FLAGS_gtest_death_test_style = "threadsafe";
   MergeConfig cfg = SmallConfig();
   cfg.num_runs = 0;  // Invalid: every trial fails validation.
-  EXPECT_DEATH(RunTrialsParallel(cfg, 4, 2), "trial 0 failed");
+  EXPECT_DEATH(RunTrials(cfg, 4, 2), "trial 0 failed");
+}
+
+TEST(RunTrialsTest, SerialDefaultRunsInlineWithoutNewWorkers) {
+  ThreadPool& pool = ThreadPool::Instance();
+  int before = pool.WorkersSpawned();
+  ExperimentResult serial = RunTrials(SmallConfig(), 3);
+  EXPECT_EQ(serial.trials.size(), 3u);
+  EXPECT_EQ(pool.WorkersSpawned(), before);
+}
+
+TEST(RunTrialsTest, MoreThreadsThanTrialsMatchesSerial) {
+  MergeConfig cfg = SmallConfig();
+  ExperimentResult serial = RunTrials(cfg, 2);
+  ExperimentResult parallel = RunTrials(cfg, 2, /*num_threads=*/8);
+  ExpectTrialsIdentical(serial, parallel);
+}
+
+TEST(RunTrialsTest, TrialsRunWithConsecutiveSeeds) {
+  MergeConfig cfg = SmallConfig();
+  ExperimentResult batch = RunTrials(cfg, 3, 2);
+  ASSERT_EQ(batch.trials.size(), 3u);
+  for (int t = 0; t < 3; ++t) {
+    SCOPED_TRACE("trial " + std::to_string(t));
+    MergeConfig single = cfg;
+    single.seed = cfg.seed + static_cast<uint64_t>(t);
+    ExperimentResult alone = RunTrials(single, 1);
+    EXPECT_EQ(batch.trials[static_cast<size_t>(t)].total_ms, alone.trials[0].total_ms);
+    EXPECT_EQ(batch.trials[static_cast<size_t>(t)].sim_events, alone.trials[0].sim_events);
+  }
+}
+
+TEST(RunTrialsDeathTest, ZeroTrialsAborts) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(RunTrials(SmallConfig(), 0), "num_trials >= 1");
 }
 
 TEST(RunSweepTest, BitIdenticalToPerConfigSerialRuns) {
@@ -177,6 +212,21 @@ TEST(ThreadPoolTest, SerialFallbackRunsInline) {
   for (const std::thread::id& id : ran) {
     EXPECT_EQ(id, caller);
   }
+}
+
+TEST(ThreadPoolTest, ZeroTasksIsANoOp) {
+  int calls = 0;
+  ThreadPool::Instance().Run(4, 0, [&calls](int) { ++calls; });
+  EXPECT_EQ(calls, 0);
+}
+
+// A task that calls Run() again would wait on workers that are busy running
+// it; the pool refuses instead of deadlocking.
+TEST(ThreadPoolDeathTest, NestedRunAborts) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(ThreadPool::Instance().Run(1, 1,
+                                          [](int) { ThreadPool::Instance().Run(1, 1, [](int) {}); }),
+               "not reentrant");
 }
 
 }  // namespace

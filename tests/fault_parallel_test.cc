@@ -30,7 +30,7 @@ TEST(FaultParallelTest, ParallelTrialsBitIdenticalToSerial) {
   MergeConfig cfg = FaultyConfig();
   ExperimentResult serial = RunTrials(cfg, 6);
   for (int threads : {1, 2, 4}) {
-    ExperimentResult parallel = RunTrialsParallel(cfg, 6, threads);
+    ExperimentResult parallel = RunTrials(cfg, 6, threads);
     ASSERT_EQ(parallel.trials.size(), serial.trials.size()) << threads;
     for (size_t t = 0; t < serial.trials.size(); ++t) {
       EXPECT_DOUBLE_EQ(parallel.trials[t].total_ms, serial.trials[t].total_ms)
@@ -65,11 +65,11 @@ TEST(FaultParallelTest, SweepWithFaultPointsMatchesSerialPoints) {
 
 TEST(FaultParallelTest, DeadlinePlumbingIsHarmlessWhenGenerous) {
   MergeConfig cfg = FaultyConfig();
-  ExperimentResult unbounded = RunTrialsParallel(cfg, 4, 4);
+  ExperimentResult unbounded = RunTrials(cfg, 4, 4);
   TrialDeadline deadline;
   deadline.max_sim_events = 100'000'000;
   deadline.max_wall_ms = 600'000.0;
-  ExperimentResult bounded = RunTrialsParallel(cfg, 4, 4, deadline);
+  ExperimentResult bounded = RunTrials(cfg, 4, 4, deadline);
   for (size_t t = 0; t < 4; ++t) {
     EXPECT_DOUBLE_EQ(bounded.trials[t].total_ms, unbounded.trials[t].total_ms) << t;
   }

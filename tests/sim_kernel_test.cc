@@ -6,10 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/event.h"
-#include "sim/mailbox.h"
 #include "sim/process.h"
-#include "sim/resource.h"
-#include "sim/semaphore.h"
 #include "sim/simulation.h"
 
 namespace emsim::sim {
@@ -156,163 +153,6 @@ TEST(SignalTest, FireWithNoWaitersIsLost) {
   EXPECT_EQ(signal.NumWaiters(), 0u);
 }
 
-Process Acquirer(Simulation& sim, Semaphore& sem, std::vector<double>& log) {
-  co_await sem.Acquire();
-  log.push_back(sim.Now());
-  co_await Delay(10.0);
-  sem.Release();
-}
-
-TEST(SemaphoreTest, SerializesByTokens) {
-  Simulation sim;
-  Semaphore sem(&sim, 1);
-  std::vector<double> log;
-  for (int i = 0; i < 3; ++i) {
-    sim.Spawn(Acquirer(sim, sem, log));
-  }
-  sim.Run();
-  ASSERT_EQ(log.size(), 3u);
-  EXPECT_DOUBLE_EQ(log[0], 0.0);
-  EXPECT_DOUBLE_EQ(log[1], 10.0);
-  EXPECT_DOUBLE_EQ(log[2], 20.0);
-}
-
-TEST(SemaphoreTest, TwoTokensDoubleConcurrency) {
-  Simulation sim;
-  Semaphore sem(&sim, 2);
-  std::vector<double> log;
-  for (int i = 0; i < 4; ++i) {
-    sim.Spawn(Acquirer(sim, sem, log));
-  }
-  sim.Run();
-  ASSERT_EQ(log.size(), 4u);
-  EXPECT_DOUBLE_EQ(log[1], 0.0);
-  EXPECT_DOUBLE_EQ(log[3], 10.0);
-}
-
-TEST(SemaphoreTest, TryAcquireNonBlocking) {
-  Simulation sim;
-  Semaphore sem(&sim, 1);
-  EXPECT_TRUE(sem.TryAcquire());
-  EXPECT_FALSE(sem.TryAcquire());
-  sem.Release();
-  EXPECT_TRUE(sem.TryAcquire());
-}
-
-Process Thief(Simulation& /*sim*/, Semaphore& sem, bool& stole) {
-  co_await Delay(5.0);
-  stole = sem.TryAcquire();
-}
-
-Process HoldAndRelease(Simulation& /*sim*/, Semaphore& sem, double hold) {
-  co_await sem.Acquire();
-  co_await Delay(hold);
-  sem.Release();
-}
-
-Process LateAcquirer(Simulation& sim, Semaphore& sem, double& when) {
-  co_await Delay(1.0);
-  co_await sem.Acquire();
-  when = sim.Now();
-  sem.Release();
-}
-
-TEST(SemaphoreTest, ReleaseHandsOffToWaiterNotThief) {
-  // A waiter queued before a TryAcquire thief must get the token.
-  Simulation sim;
-  Semaphore sem(&sim, 1);
-  double waiter_got = -1;
-  bool stole = true;
-  sim.Spawn(HoldAndRelease(sim, sem, 5.0));  // Holds [0,5).
-  sim.Spawn(LateAcquirer(sim, sem, waiter_got));
-  sim.Spawn(Thief(sim, sem, stole));  // Tries exactly at release time.
-  sim.Run();
-  EXPECT_DOUBLE_EQ(waiter_got, 5.0);
-  EXPECT_FALSE(stole);
-}
-
-Process UseResource(Simulation& /*sim*/, Resource& res, double hold) {
-  co_await res.Acquire();
-  co_await Delay(hold);
-  res.Release();
-}
-
-TEST(ResourceTest, UtilizationAccounting) {
-  Simulation sim;
-  Resource res(&sim, 1);
-  sim.Spawn(UseResource(sim, res, 10.0));
-  sim.Spawn(UseResource(sim, res, 10.0));
-  sim.Run();
-  res.FlushStats();
-  EXPECT_EQ(res.completions(), 2u);
-  EXPECT_EQ(res.busy_servers(), 0);
-  EXPECT_NEAR(res.MeanBusyServers(), 1.0, 1e-9);  // Busy the whole 20 ms.
-  EXPECT_NEAR(res.BusyFraction(), 1.0, 1e-9);
-}
-
-TEST(ResourceTest, MultiServerConcurrency) {
-  Simulation sim;
-  Resource res(&sim, 3);
-  for (int i = 0; i < 3; ++i) {
-    sim.Spawn(UseResource(sim, res, 10.0));
-  }
-  sim.Run();
-  res.FlushStats();
-  EXPECT_NEAR(res.MeanBusyServers(), 3.0, 1e-9);
-}
-
-TEST(ResourceTest, TryAcquireRespectsCapacity) {
-  Simulation sim;
-  Resource res(&sim, 2);
-  EXPECT_TRUE(res.TryAcquire());
-  EXPECT_TRUE(res.TryAcquire());
-  EXPECT_FALSE(res.TryAcquire());
-  EXPECT_EQ(res.busy_servers(), 2);
-  res.Release();
-  EXPECT_EQ(res.busy_servers(), 1);
-}
-
-Process Producer(Simulation& /*sim*/, Mailbox<int>& box) {
-  for (int i = 0; i < 5; ++i) {
-    co_await Delay(1.0);
-    box.Put(i);
-  }
-}
-
-Process Consumer(Simulation& /*sim*/, Mailbox<int>& box, std::vector<int>& got, int n) {
-  for (int i = 0; i < n; ++i) {
-    int v = co_await box.Get();
-    got.push_back(v);
-  }
-}
-
-TEST(MailboxTest, DeliversInOrder) {
-  Simulation sim;
-  Mailbox<int> box(&sim);
-  std::vector<int> got;
-  sim.Spawn(Consumer(sim, box, got, 5));
-  sim.Spawn(Producer(sim, box));
-  sim.Run();
-  ASSERT_EQ(got.size(), 5u);
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(got[static_cast<size_t>(i)], i);
-  }
-}
-
-TEST(MailboxTest, BuffersWhenNoReceiver) {
-  Simulation sim;
-  Mailbox<int> box(&sim);
-  box.Put(7);
-  box.Put(8);
-  EXPECT_EQ(box.Size(), 2u);
-  std::vector<int> got;
-  sim.Spawn(Consumer(sim, box, got, 2));
-  sim.Run();
-  ASSERT_EQ(got.size(), 2u);
-  EXPECT_EQ(got[0], 7);
-  EXPECT_EQ(got[1], 8);
-}
-
 Process BlockForever(Simulation& /*sim*/, Event& never) { co_await never.Wait(); }
 
 TEST(SimulationTest, DestructionReclaimsBlockedProcesses) {
@@ -343,6 +183,111 @@ TEST(EventTest, ResetEnablesReuseAcrossRounds) {
   sim.ScheduleCallback(2.0, [&] { event.Set(); });
   sim.Run();
   EXPECT_EQ(rounds, 2);
+}
+
+// Six waiters spill the waiter list past its inline capacity of four; the
+// burst must still release them in the order they started waiting.
+TEST(EventTest, WaitersResumeInArrivalOrderPastInlineCapacity) {
+  Simulation sim;
+  Event event(&sim);
+  std::vector<std::string> log;
+  for (const char* name : {"a", "b", "c", "d", "e", "f"}) {
+    sim.Spawn(Waiter(sim, event, log, name));
+  }
+  sim.Spawn(Setter(sim, event, 2.0));
+  sim.Run();
+  ASSERT_EQ(log.size(), 6u);
+  const char* expected[] = {"a", "b", "c", "d", "e", "f"};
+  for (size_t i = 0; i < log.size(); ++i) {
+    EXPECT_EQ(log[i], std::string(expected[i]) + "@2.000000");
+  }
+  EXPECT_EQ(sim.live_processes(), 0);
+}
+
+TEST(EventDeathTest, ResetWithPendingWaitersAborts) {
+  Simulation sim;
+  Event event(&sim);
+  std::vector<std::string> log;
+  sim.Spawn(Waiter(sim, event, log, "w"));
+  sim.Run();  // The waiter is now blocked on the unset latch.
+  EXPECT_DEATH(event.Reset(), "Reset with pending waiters");
+}
+
+Process SignalLogger(Simulation& sim, Signal& signal, std::vector<std::string>& log,
+                     std::string name) {
+  co_await signal.Wait();
+  log.push_back(name + "@" + std::to_string(sim.Now()));
+}
+
+TEST(SignalTest, WaitersResumeInArrivalOrderPastInlineCapacity) {
+  Simulation sim;
+  Signal signal(&sim);
+  std::vector<std::string> log;
+  for (const char* name : {"a", "b", "c", "d", "e", "f"}) {
+    sim.Spawn(SignalLogger(sim, signal, log, name));
+  }
+  sim.ScheduleCallback(3.0, [&] {
+    EXPECT_EQ(signal.NumWaiters(), 6u);
+    signal.Fire();
+    EXPECT_EQ(signal.NumWaiters(), 0u);
+  });
+  sim.Run();
+  ASSERT_EQ(log.size(), 6u);
+  const char* expected[] = {"a", "b", "c", "d", "e", "f"};
+  for (size_t i = 0; i < log.size(); ++i) {
+    EXPECT_EQ(log[i], std::string(expected[i]) + "@3.000000");
+  }
+}
+
+// A pulse wakes the waiters present when it fires; a second pulse in the same
+// instant, before they have resumed and re-waited, finds nobody to wake.
+TEST(SignalTest, BackToBackPulsesInOneInstantWakeOnce) {
+  Simulation sim;
+  Signal signal(&sim);
+  int count = 0;
+  sim.Spawn(SignalConsumer(sim, signal, count, 5));
+  sim.ScheduleCallback(1.0, [&] {
+    signal.Fire();
+    signal.Fire();
+  });
+  sim.Run();
+  EXPECT_EQ(count, 1);
+  EXPECT_EQ(signal.NumWaiters(), 1u);  // Re-waiting for a pulse that never comes.
+}
+
+Process PulseCounter(Simulation& sim, Signal& signal, std::vector<double>& wakes, int pulses) {
+  for (int i = 0; i < pulses; ++i) {
+    co_await signal.Wait();
+    wakes.push_back(sim.Now());
+  }
+}
+
+// A resumed waiter that immediately waits again joins the next pulse's
+// cohort, not the one that just woke it.
+TEST(SignalTest, ResumedWaiterRewaitsForNextPulse) {
+  Simulation sim;
+  Signal signal(&sim);
+  std::vector<double> first;
+  std::vector<double> second;
+  sim.Spawn(PulseCounter(sim, signal, first, 2));
+  sim.Spawn(PulseCounter(sim, signal, second, 2));
+  sim.ScheduleCallback(1.0, [&] { signal.Fire(); });
+  sim.ScheduleCallback(1.5, [&] { EXPECT_EQ(signal.NumWaiters(), 2u); });
+  sim.ScheduleCallback(2.0, [&] { signal.Fire(); });
+  sim.Run();
+  EXPECT_EQ(first, (std::vector<double>{1.0, 2.0}));
+  EXPECT_EQ(second, (std::vector<double>{1.0, 2.0}));
+  EXPECT_EQ(sim.live_processes(), 0);
+}
+
+TEST(SimulationTest, SpawnFromCallbackStartsAtCurrentTime) {
+  Simulation sim;
+  std::vector<double> log;
+  sim.ScheduleCallback(3.0, [&] { sim.Spawn(Recorder(sim, log, 1.0, 2)); });
+  sim.Run();
+  ASSERT_EQ(log.size(), 2u);
+  EXPECT_DOUBLE_EQ(log[0], 4.0);
+  EXPECT_DOUBLE_EQ(log[1], 5.0);
 }
 
 TEST(SimulationTest, RunUntilBoundaryInclusive) {

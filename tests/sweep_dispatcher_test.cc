@@ -1,7 +1,7 @@
 // Exercises the multi-process shard dispatcher with real subprocesses:
 // clean completion, straggler kill + resubmission (chaos and deadline),
 // retry exhaustion, the empty-artifact guard, shard-subset dispatch,
-// dispatch counters, and graceful drain.
+// dispatch counters, concurrent dispatch rounds, and graceful drain.
 
 #include "sweep/dispatcher.h"
 
@@ -277,44 +277,54 @@ TEST(DispatcherTest, DrainLetsInFlightWorkerFinishInsideGrace) {
   EXPECT_EQ(report->shards[0].shard, 0);
 }
 
-TEST(StatsCollectorTest, SharedAcrossConcurrentSweeps) {
-  // A driver fanning dispatch rounds out over several threads shares one
-  // StatsCollector: each round's observer feeds Note(), each finished round
-  // Add()s its counters, and the roll-up must reconcile exactly — every
-  // launch observed as a start, every shard observed done once.
+TEST(DispatcherTest, ConcurrentSweepsAreIndependent) {
+  // Several driver threads dispatch rounds at once. Each tallies its own
+  // shard events and must reconcile them with its own report: every launch
+  // observed as a start, every resubmission as a retry, every shard done
+  // once, nothing failed.
   constexpr int kSweeps = 3;
-  constexpr int kShards = 4;
-  StatsCollector stats;
-  std::atomic<int> failures{0};
+  static constexpr int kShards = 4;
   std::vector<std::thread> drivers;
   drivers.reserve(kSweeps);
   for (int s = 0; s < kSweeps; ++s) {
-    drivers.emplace_back([&stats, &failures, s] {
-      std::string dir = FreshDir(StrFormat("stats_shared_%d", s));
+    drivers.emplace_back([s] {
+      std::string dir = FreshDir(StrFormat("dispatch_concurrent_%d", s));
+      int starts = 0;
+      int dones = 0;
+      int retries = 0;
+      int fails = 0;
       DispatcherOptions options;
       options.num_shards = kShards;
       options.max_workers = 2;
-      options.on_event = stats.Observer();
+      options.on_event = [&](const ShardEvent& event) {
+        switch (event.kind) {
+          case ShardEvent::Kind::kStart:
+            ++starts;
+            break;
+          case ShardEvent::Kind::kDone:
+            ++dones;
+            break;
+          case ShardEvent::Kind::kRetry:
+            ++retries;
+            break;
+          case ShardEvent::Kind::kFailed:
+            ++fails;
+            break;
+        }
+      };
       auto report =
           RunShardedSweep(options, dir, ShellCommand("echo shard $0 > \"$1\""));
-      if (!report.ok()) {
-        ++failures;
-        return;
-      }
-      stats.Add(report->stats);
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      EXPECT_EQ(starts, report->stats.launches);
+      EXPECT_EQ(retries, report->stats.resubmissions);
+      EXPECT_EQ(dones, kShards);
+      EXPECT_EQ(fails, 0);
+      EXPECT_GE(report->stats.launches, kShards);
     });
   }
   for (std::thread& driver : drivers) {
     driver.join();
   }
-  ASSERT_EQ(failures.load(), 0);
-  const DispatchStats total = stats.Total();
-  const StatsCollector::EventTally tally = stats.Tally();
-  EXPECT_EQ(tally.starts, total.launches);
-  EXPECT_EQ(tally.retries, total.resubmissions);
-  EXPECT_EQ(tally.dones, kSweeps * kShards);
-  EXPECT_EQ(tally.fails, 0);
-  EXPECT_GE(total.launches, kSweeps * kShards);
 }
 
 }  // namespace

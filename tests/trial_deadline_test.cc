@@ -96,14 +96,14 @@ TEST(TrialDeadlineDeathTest, SerialRunnerAbortsWithTrialIndexAndConfig) {
   MergeConfig cfg = SmallConfig();
   TrialDeadline deadline;
   deadline.max_sim_events = 50;
-  EXPECT_DEATH(RunTrials(cfg, 2, deadline), "trial 0 failed.*DeadlineExceeded");
+  EXPECT_DEATH(RunTrials(cfg, 2, 1, deadline), "trial 0 failed.*DeadlineExceeded");
 }
 
 TEST(TrialDeadlineDeathTest, ParallelRunnerAbortsWithTrialIndexAndConfig) {
   MergeConfig cfg = SmallConfig();
   TrialDeadline deadline;
   deadline.max_sim_events = 50;
-  EXPECT_DEATH(RunTrialsParallel(cfg, 4, 2, deadline),
+  EXPECT_DEATH(RunTrials(cfg, 4, 2, deadline),
                "trial 0 failed.*DeadlineExceeded.*MergeConfig\\{");
 }
 

@@ -28,7 +28,7 @@ Rules (ids are what `allow(...)` takes; `--list-rules` prints this catalog):
                        Checked tree-wide.
   float-reduction-order
                        Parallel aggregation functions (AggregateTrials,
-                       RunTrials*/RunSweep*, MergeShardArtifacts and their
+                       RunTrials/RunSweep*, MergeShardArtifacts and their
                        same-file helpers) must combine trial statistics
                        through the stats::Accumulator Add/Merge/State
                        contract; ad-hoc `+=`/`x = x + ...` on a double makes
@@ -56,7 +56,7 @@ Rules (ids are what `allow(...)` takes; `--list-rules` prints this catalog):
                        a function-local `static` that is mutated and
                        reachable from a parallel entry point (ThreadPool::
                        Run/RunTasks/WorkerLoop, RunSweepRange,
-                       RunTrialsParallel, RunShardedSweep) and is
+                       RunShardedSweep) and is
                        neither const, std::atomic, once_flag, nor a
                        lock-bearing type; or a data member of a lock-bearing
                        class (one that owns a Mutex) that is neither
@@ -146,8 +146,8 @@ EXPORT_SINK_PATTERNS = (
 # Parallel-aggregation functions policed by float-reduction-order, by simple
 # name, plus their direct same-file helpers.
 AGG_ROOT_NAMES = {
-    "AggregateTrials", "AggregateGrid", "RunTrials", "RunTrialsParallel",
-    "RunSweep", "RunSweepRange", "MergeShardArtifacts",
+    "AggregateTrials", "AggregateGrid", "RunTrials", "RunSweep",
+    "RunSweepRange", "MergeShardArtifacts",
 }
 # The sanctioned reduction implementation: Welford Add/Merge lives here.
 FLOAT_EXEMPT_RE = re.compile(r"^src/stats/")
@@ -178,7 +178,7 @@ BLOCKING_IDS = {"mutex", "timed_mutex", "recursive_mutex",
 # whole-name or `::`-suffix.
 PARALLEL_ROOTS = (
     "ThreadPool::Run", "ThreadPool::RunTasks", "ThreadPool::WorkerLoop",
-    "RunSweepRange", "RunTrialsParallel", "RunShardedSweep",
+    "RunSweepRange", "RunShardedSweep",
 )
 
 # RAII locker types that acquire a capability for a lexical scope. An
@@ -1683,7 +1683,7 @@ def analyze_program(files: dict):
                     emit(rule, rel, fact["line"],
                          "std::coroutine_handle outside src/sim/ defeats the "
                          "frame-pool/calendar ownership bookkeeping; "
-                         "communicate through Events/Semaphores/Mailboxes",
+                         "communicate through Events/Signals",
                          fact["kind"])
             elif rule == "pointer-ordering":
                 emit(rule, rel, fact["line"],
@@ -1697,7 +1697,7 @@ def analyze_program(files: dict):
                 emit(rule, rel, fact["line"],
                      f"{fact['detail']} in a coroutine TU; simulated time and "
                      "synchronization must come from the calendar "
-                     "(sim::Delay, Events, Semaphores)", fact["kind"])
+                     "(sim::Delay, Events, Signals)", fact["kind"])
         for cls in files[rel].get("classes", ()):
             if not cls["has_cap"]:
                 continue

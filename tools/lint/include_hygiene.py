@@ -220,16 +220,20 @@ def strip_comments_and_strings(text: str) -> str:
 # ---------------------------------------------------------------------------
 
 _NAMESPACE_OPEN_RE = re.compile(r"\b(?:inline\s+)?namespace\b[^{};]*\{")
+# Functions: a name followed by '(' after a plausible return type.
+_FUNCTION_DECL_RE = re.compile(r"(?:^|[;}>]\s*|\n\s*)[\w:&<>,*~\s]*?[\w>&*]\s+"
+                               r"([A-Za-z_]\w*)\s*\(")
 _DECL_RES = (
     re.compile(r"#\s*define\s+([A-Za-z_]\w*)"),
+    # An attribute, alignas or annotation-macro call (`class
+    # EMSIM_CAPABILITY("mutex") Mutex`) may sit between keyword and name.
     re.compile(r"\b(?:class|struct|union)\s+(?:\[\[[^\]]*\]\]\s*)?"
-               r"(?:alignas\([^)]*\)\s*)?([A-Za-z_]\w*)"),
+               r"(?:alignas\([^)]*\)\s*)?(?:[A-Z][A-Z0-9_]*\([^)]*\)\s*)?"
+               r"([A-Za-z_]\w*)"),
     re.compile(r"\benum\s+(?:class\s+|struct\s+)?([A-Za-z_]\w*)"),
     re.compile(r"\busing\s+([A-Za-z_]\w*)\s*="),
     re.compile(r"\btypedef\s+[^;]*?\b([A-Za-z_]\w*)\s*;"),
-    # Free functions: a name followed by '(' after a plausible return type.
-    re.compile(r"(?:^|[;}>]\s*|\n\s*)[\w:&<>,*~\s]*?[\w>&*]\s+"
-               r"([A-Za-z_]\w*)\s*\("),
+    _FUNCTION_DECL_RE,
     # Namespace-scope constants.
     re.compile(r"\b(?:inline\s+|static\s+)?constexpr\b[^=;({]*?"
                r"\b([A-Za-z_]\w*)\s*[={]"),
@@ -263,6 +267,42 @@ def parse_exports(text: str) -> set[str]:
         depth += effective.count("{") - effective.count("}")
         depth = max(depth, 0)
     return exports
+
+
+_CLASS_HEAD_RE = re.compile(r"\b(?:class|struct|union)\b")
+_TEMPLATE_HEAD_RE = re.compile(r"\btemplate\s*<[^<>]*>")
+
+
+def parse_member_functions(text: str) -> set[str]:
+    """Names of the member functions a file declares directly in its own
+    class bodies (not in function bodies nested inside them). A file's own
+    `FailureCapture::Record` is not a use of the `Record` struct that some
+    other header exports."""
+    stripped = strip_comments_and_strings(text)
+    names: set[str] = set()
+    scopes: list[bool] = []  # One entry per open brace: is it a class body?
+    head = ""                # Text since the last `;`, `{` or `}`.
+    for line in stripped.splitlines():
+        if scopes and scopes[-1]:
+            for m in _FUNCTION_DECL_RE.finditer(line):
+                if m.group(1) not in _DECL_KEYWORDS:
+                    names.add(m.group(1))
+        for ch in line:
+            if ch == "{":
+                head = _TEMPLATE_HEAD_RE.sub(" ", head)
+                scopes.append(bool(_CLASS_HEAD_RE.search(head))
+                              and not re.search(r"\benum\b", head))
+                head = ""
+            elif ch == "}":
+                if scopes:
+                    scopes.pop()
+                head = ""
+            elif ch == ";":
+                head = ""
+            else:
+                head += ch
+        head += "\n"
+    return names
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +468,10 @@ class HygieneChecker:
             direct_std |= {i.name for i in self.direct_includes.get(assoc, [])
                            if i.is_std}
             provided_project |= set(self._resolved_project_includes(assoc))
-        # Symbols the file itself declares (incl. forward declarations).
-        self_names = parse_exports(self.texts[relpath])
+        # Symbols the file itself declares (incl. forward declarations and
+        # its own classes' member functions).
+        self_names = (parse_exports(self.texts[relpath])
+                      | parse_member_functions(self.texts[relpath]))
 
         for header, pattern in sorted(STD_EXPORTS.items()):
             if header in direct_std:
