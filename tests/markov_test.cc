@@ -103,6 +103,46 @@ TEST(MarkovTest, GreedyBuffersMore) {
             model.MeanOccupancy(Policy::kConservative));
 }
 
+TEST(MarkovTest, StationaryValuesArePinned) {
+  // Exact values (%.17g) of the power iteration's output, including its
+  // unconverged last digits (D=5, C=8 greedy): any change to the summation
+  // order or the iteration count shows here. The C <= 20 parallelism and
+  // success values are perfbench/references.txt's markov_policy records.
+  struct Pinned {
+    int d;
+    int c;
+    Policy policy;
+    double parallelism;
+    double success;
+    double occupancy;
+  };
+  const Pinned kPinned[] = {
+      {5, 5, Policy::kConservative, 1, 0, 5},
+      {5, 5, Policy::kGreedy, 1, 0, 5},
+      {5, 8, Policy::kConservative, 1, 0, 5},
+      {5, 8, Policy::kGreedy, 1.6000000000004075, 0, 7.4999999999997442},
+      {5, 12, Policy::kConservative, 2.3003095975243304, 0.3250773993810826, 9.522207267832874},
+      {5, 12, Policy::kGreedy, 2.3363636363658649, 0.1060606060609485, 10.810635538260467},
+      {5, 20, Policy::kConservative, 3.2552664248270848, 0.56381660620677143,
+       16.084887696096708},
+      {5, 20, Policy::kGreedy, 3.2252322168531427, 0.35216718801726471, 17.299815987122177},
+      {3, 15, Policy::kConservative, 2.580838323355648, 0.79041916167782389,
+       10.962877030149848},
+      {3, 15, Policy::kGreedy, 2.5824175824201938, 0.72527472527638059, 11.297872340411443},
+      {5, 35, Policy::kConservative, 3.9500201022620445, 0.73750502556550757,
+       28.129165846487126},
+      {5, 35, Policy::kGreedy, 3.9314342534219699, 0.59240555089030256, 29.330163610410651},
+  };
+  for (const Pinned& p : kPinned) {
+    MarkovPrefetchModel model(p.d, p.c);
+    SCOPED_TRACE(testing::Message() << "D=" << p.d << " C=" << p.c << " "
+                                    << (p.policy == Policy::kGreedy ? "greedy" : "conservative"));
+    EXPECT_EQ(model.AverageParallelism(p.policy), p.parallelism);
+    EXPECT_EQ(model.SuccessRatio(p.policy), p.success);
+    EXPECT_EQ(model.MeanOccupancy(p.policy), p.occupancy);
+  }
+}
+
 TEST(MarkovTest, AgreesWithSimulatorAtSteadyState) {
   // Cross-validation: DES with one run per disk, N = 1, long runs. The
   // simulator's success ratio should approach the chain's.

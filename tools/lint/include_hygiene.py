@@ -309,6 +309,9 @@ def parse_member_functions(text: str) -> set[str]:
 # Per-file analysis
 # ---------------------------------------------------------------------------
 
+_WORD_RE = re.compile(r"\w+")
+
+
 def symbol_use_re(names) -> re.Pattern:
     """Word-boundary match that rejects member access (`x.Run()`, `p->Run()`):
     a member named like an exported symbol is not a use of the header."""
@@ -488,6 +491,9 @@ class HygieneChecker:
             (suppressions if allowed else findings).append(entry)
 
         checked: set[str] = set()
+        # symbol_use_re matches a plain identifier only as a whole word token,
+        # so a name missing from the file's token set needs no regex search.
+        identifiers = set(_WORD_RE.findall(usage))
         for header, names in sorted(self.exports.items()):
             if header == relpath or header in provided_project:
                 continue
@@ -503,6 +509,8 @@ class HygieneChecker:
                 if providers & provided_project or relpath in providers:
                     continue
                 checked.add(name)
+                if name not in identifiers and _WORD_RE.fullmatch(name):
+                    continue  # A plain identifier the file never spells.
                 lineno, allowed = self._first_use_line(relpath, symbol_use_re([name]))
                 if lineno is None:
                     continue
