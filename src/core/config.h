@@ -116,13 +116,10 @@ struct MergeConfig {
 
   uint64_t seed = 1;
 
-  /// Event-calendar backend for the kernel (runtime A/B knob; kDefault
-  /// resolves EMSIM_CALENDAR, unset meaning heap). Deliberately excluded
-  /// from ToString(), specs and every exported artifact: backends are
-  /// result-equivalent by contract, so nothing downstream may depend on the
-  /// choice — byte-identical sweep artifacts under either backend are pinned
-  /// by test.
-  sim::CalendarBackend calendar = sim::CalendarBackend::kDefault;
+  /// Always kHeap and read by nothing in the library: kept only because the
+  /// end-to-end benchmark (perfbench/src/probes.cc) passes it to
+  /// sim::Simulation. Delete it with the next benchmark change.
+  sim::CalendarBackend calendar = sim::CalendarBackend::kHeap;
 
   /// Fault injection and recovery policy (robustness extension). The
   /// all-defaults config disables injection entirely: the merge takes the

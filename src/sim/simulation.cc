@@ -61,29 +61,16 @@ uint32_t Simulation::AcquireBurstSlot() {
 }
 
 void Simulation::RenormalizeSeqs() {
-  // Gather the pending entries in pop order, renumber 0..n-1 (preserving
-  // their relative order), and reinstall. New pushes then continue from n,
-  // so every future entry orders after every pending one — exactly the
-  // pre-wrap contract. A sorted array is a valid min-heap, so the heap
-  // backend reinstalls with a plain move.
-  std::vector<CalEntry> pending;
-  if (backend_ == CalendarBackend::kHeap) {
-    pending.swap(calendar_);
-    std::sort(pending.begin(), pending.end(), EarlierThan);
-  } else {
-    cq_.DrainInOrder(&pending);
+  // Sort the pending entries into pop order and renumber them 0..n-1
+  // (preserving their relative order). New pushes then continue from n, so
+  // every future entry orders after every pending one — exactly the
+  // pre-wrap contract. A sorted array is a valid min-heap, so the sorted
+  // calendar stays in place.
+  std::sort(calendar_.begin(), calendar_.end(), EarlierThan);
+  for (size_t i = 0; i < calendar_.size(); ++i) {
+    calendar_[i].seq = static_cast<uint32_t>(i);
   }
-  for (size_t i = 0; i < pending.size(); ++i) {
-    pending[i].seq = static_cast<uint32_t>(i);
-  }
-  next_seq_ = static_cast<uint32_t>(pending.size());
-  if (backend_ == CalendarBackend::kHeap) {
-    calendar_ = std::move(pending);
-  } else {
-    for (const CalEntry& entry : pending) {
-      cq_.Push(entry);
-    }
-  }
+  next_seq_ = static_cast<uint32_t>(calendar_.size());
 }
 
 void Simulation::HeapPush(CalEntry entry) {
@@ -178,19 +165,11 @@ void Simulation::DispatchBurst(uint32_t slot) {
 }
 
 bool Simulation::Step() {
-  CalEntry entry;
-  if (backend_ == CalendarBackend::kHeap) {
-    if (calendar_.empty()) {
-      return false;
-    }
-    entry = calendar_.front();
-    HeapPopRoot();
-  } else {
-    if (cq_.empty()) {
-      return false;
-    }
-    entry = cq_.PopMin();
+  if (calendar_.empty()) {
+    return false;
   }
+  const CalEntry entry = calendar_.front();
+  HeapPopRoot();
   now_ = entry.time;
   const uint32_t tag = entry.payload & kTagMask;
   const uint32_t slot = entry.payload >> kTagBits;
@@ -256,7 +235,7 @@ bool Simulation::RunBounded(uint64_t max_events) {
                                                             : UINT64_MAX;
   while (events_processed_ < event_cap_ && Step()) {
   }
-  const bool drained = CalendarEmpty();
+  const bool drained = calendar_.empty();
   event_cap_ = UINT64_MAX;
   in_run_loop_ = false;
   return drained;
@@ -265,7 +244,7 @@ bool Simulation::RunBounded(uint64_t max_events) {
 void Simulation::RunUntil(SimTime deadline) {
   in_run_loop_ = true;
   run_deadline_ = deadline;
-  while (!CalendarEmpty() && CalMinTime() <= deadline) {
+  while (!calendar_.empty() && calendar_.front().time <= deadline) {
     Step();
   }
   in_run_loop_ = false;

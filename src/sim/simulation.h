@@ -31,26 +31,22 @@ class Process;
 /// Hot-path layout: the calendar orders 16-byte trivially copyable entries
 /// (see CalEntry) whose payload is a tagged index into one of three recycled
 /// slot pools — coroutine handles (the dominant case), pooled callbacks, or
-/// same-timestamp burst groups. Two selectable backends implement the
-/// identical (time, seq) contract: an indexed 4-ary min-heap (sift moves two
-/// words per hop, children of a node share a cache line) and a Brown-1988
-/// calendar queue (amortized O(1) bucket ops; see calendar.h). Backend choice
-/// never changes results, only speed.
+/// same-timestamp burst groups. The calendar is an indexed 4-ary min-heap:
+/// a sift moves two words per hop and the children of a node share a cache
+/// line. A trial holds only about D + a few pending events, so a bucketed
+/// calendar's asymptotic edge never shows (docs/PERFORMANCE.md).
 class Simulation {
  public:
-  /// `backend` selects the calendar structure; kDefault resolves the
-  /// EMSIM_CALENDAR environment variable (unset means heap).
-  explicit Simulation(CalendarBackend backend = CalendarBackend::kDefault)
-      : backend_(ResolveCalendarBackend(backend)) {}
+  /// The argument is ignored. It exists only because the end-to-end
+  /// benchmark (perfbench/src/probes.cc) passes MergeConfig::calendar, and
+  /// goes with the next benchmark change (see CalendarBackend).
+  explicit Simulation(CalendarBackend /*unused*/ = CalendarBackend::kHeap) {}
 
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
 
   /// Current simulated time.
   SimTime Now() const { return now_; }
-
-  /// The calendar backend this kernel resolved to (never kDefault).
-  CalendarBackend backend() const { return backend_; }
 
   /// Starts a process: the coroutine body begins executing at the current
   /// simulated time (processes start suspended). Ownership of the coroutine
@@ -65,7 +61,7 @@ class Simulation {
     EMSIM_CHECK(at >= now_);
     uint32_t slot = AcquireHandleSlot();
     handle_pool_[slot] = handle.address();
-    CalPush(CalEntry{at, NextSeq(), (slot << kTagBits) | kTagHandle});
+    HeapPush(CalEntry{at, NextSeq(), (slot << kTagBits) | kTagHandle});
   }
 
   /// Schedules a batch of handles at one timestamp for the cost of a single
@@ -95,7 +91,7 @@ class Simulation {
     // One seq for the whole group: members would have received consecutive
     // seqs, and no entry pushed later can order between them, so collapsing
     // the range to its first value preserves the exact pop sequence.
-    CalPush(CalEntry{at, NextSeq(), (slot << kTagBits) | kTagBurst});
+    HeapPush(CalEntry{at, NextSeq(), (slot << kTagBits) | kTagBurst});
   }
 
   /// Schedules a plain callback at absolute time `at`. The callable is
@@ -107,7 +103,7 @@ class Simulation {
     EMSIM_CHECK(at >= now_);
     uint32_t slot = AcquireCallbackSlot();
     callback_pool_[slot].Emplace(std::forward<F>(callback));
-    CalPush(CalEntry{at, NextSeq(), (slot << kTagBits) | kTagCallback});
+    HeapPush(CalEntry{at, NextSeq(), (slot << kTagBits) | kTagCallback});
   }
 
   /// Lone-runner fast path used by awaiters (see Delay::await_suspend): when
@@ -121,7 +117,7 @@ class Simulation {
   /// time must not move), or while metrics are attached (the calendar-depth
   /// timeline must record the push/pop it would otherwise miss).
   bool AdvanceInline(SimTime at) {
-    if (!in_run_loop_ || in_burst_dispatch_ || !CalendarEmpty() || at > run_deadline_ ||
+    if (!in_run_loop_ || in_burst_dispatch_ || !calendar_.empty() || at > run_deadline_ ||
         metric_calendar_depth_ != nullptr || events_processed_ >= event_cap_) {
       return false;
     }
@@ -159,9 +155,7 @@ class Simulation {
   uint64_t events_processed() const { return events_processed_; }
 
   /// Entries waiting in the calendar right now (a burst group counts as one).
-  size_t CalendarDepth() const {
-    return backend_ == CalendarBackend::kHeap ? calendar_.size() : cq_.size();
-  }
+  size_t CalendarDepth() const { return calendar_.size(); }
 
   /// Callback slots currently owned by the pool (allocated high-water mark;
   /// introspection for tests and benches — slots are recycled, so this stays
@@ -277,21 +271,6 @@ class Simulation {
   }
   void RenormalizeSeqs();
 
-  bool CalendarEmpty() const {
-    return backend_ == CalendarBackend::kHeap ? calendar_.empty() : cq_.empty();
-  }
-  void CalPush(CalEntry entry) {
-    if (backend_ == CalendarBackend::kHeap) {
-      HeapPush(entry);
-    } else {
-      cq_.Push(entry);
-    }
-  }
-  /// Earliest pending time; requires a non-empty calendar.
-  SimTime CalMinTime() {
-    return backend_ == CalendarBackend::kHeap ? calendar_.front().time : cq_.PeekMin().time;
-  }
-
   void HeapPush(CalEntry entry);
   void HeapPopRoot();
   uint32_t AcquireCallbackSlot();
@@ -307,7 +286,6 @@ class Simulation {
   uint32_t AcquireBurstSlot();
   void DispatchBurst(uint32_t slot);
 
-  CalendarBackend backend_;
   SimTime now_ = 0.0;
   uint32_t next_seq_ = 0;
   uint64_t events_processed_ = 0;
@@ -316,8 +294,7 @@ class Simulation {
   bool in_burst_dispatch_ = false;
   SimTime run_deadline_ = 0.0;  // Valid only while in_run_loop_ is true.
   std::vector<LiveProcess> live_;
-  std::vector<CalEntry> calendar_;  // Heap backend: 4-ary min-heap.
-  CalendarQueue cq_;                // Calendar-queue backend.
+  std::vector<CalEntry> calendar_;  // 4-ary min-heap.
 
   // Slot pools. Ids recycle through free lists so steady-state traffic
   // reuses the same cells; the pools grow to the peak number of

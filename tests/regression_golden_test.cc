@@ -4,10 +4,19 @@
 // change was intended — update the constant and EXPERIMENTS.md — or a
 // regression slipped in.
 
+#include <cstddef>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/config.h"
+#include "core/experiment.h"
 #include "core/merge_simulator.h"
+#include "core/result_json.h"
+#include "sweep/shard.h"
+#include "util/str.h"
 
 namespace emsim::core {
 namespace {
@@ -63,6 +72,41 @@ TEST(GoldenTest, StallDistributionsDifferByStrategy) {
   // the ones that remain on average.
   EXPECT_LT(a->stall_ms.Mean() * static_cast<double>(a->stall_ms.count()),
             d->stall_ms.Mean() * static_cast<double>(d->stall_ms.count()));
+}
+
+/// Pins the export bytes of the paper's operating points, so a kernel or
+/// model change that moves any simulated number (or its JSON rendering)
+/// fails here: fig3.2 all-disks-one-run at N = 1, 4, 10, demand-run-only at
+/// N = 4, and a fault-injected unit whose retry/backoff traffic crosses
+/// every event kind. The constant is the FNV-1a digest of the
+/// ExperimentSetToJson document; an intended change re-records it.
+TEST(GoldenTest, PaperOperatingPointsExportDigest) {
+  std::vector<SweepUnit> units;
+  for (int n : {1, 4, 10}) {
+    units.push_back(SweepUnit{StrFormat("fig32/ador/n=%d", n),
+                              MergeConfig::Paper(25, 5, n, Strategy::kAllDisksOneRun,
+                                                 SyncMode::kUnsynchronized),
+                              2});
+  }
+  units.push_back(SweepUnit{"fig32/dro/n=4",
+                            MergeConfig::Paper(25, 5, 4, Strategy::kDemandRunOnly,
+                                               SyncMode::kUnsynchronized),
+                            2});
+  MergeConfig faulty =
+      MergeConfig::Paper(10, 3, 2, Strategy::kAllDisksOneRun, SyncMode::kUnsynchronized);
+  faulty.blocks_per_run = 120;
+  faulty.fault.media_error_rate = 0.01;
+  faulty.fault.latency_spike_rate = 0.03;
+  faulty.fault.latency_spike_ms = 8.0;
+  units.push_back(SweepUnit{"faulty", faulty, 3});
+
+  const std::vector<ExperimentResult> results = RunSweep(units, 2);
+  std::vector<NamedExperiment> named;
+  for (size_t i = 0; i < units.size(); ++i) {
+    named.push_back(NamedExperiment{units[i].name, units[i].config, &results[i]});
+  }
+  const std::string json = ExperimentSetToJson(named);
+  EXPECT_EQ(sweep::Fnv1aDigest(json), UINT64_C(0x0b2b71b7678904a4)) << json.size() << " bytes";
 }
 
 }  // namespace

@@ -1,13 +1,12 @@
-// Property and stress tests pinning both calendar backends (indexed 4-ary
-// heap and Brown-1988 calendar queue) to a reference model
-// (std::priority_queue over (time, seq)), plus burst-resume equivalence, the
-// seq-wrap renormalization, the frame pool's reuse guarantee and the O(1)
-// live-process bookkeeping. These guard the PR-critical invariant that every
-// calendar backend preserves exact (time, seq) FIFO ordering under every
-// driver (Run, RunUntil, Step), under reentrant scheduling from callbacks,
-// and under adversarial time distributions (all-equal timestamps, sparse
-// exponential spreads, resize churn). Labeled `unit;thread` so the sanitizer
-// CI jobs run them under ASan and TSan builds as well.
+// Property and stress tests pinning the event calendar (indexed 4-ary heap)
+// to a reference model (std::priority_queue over (time, seq)), plus
+// burst-resume equivalence, the seq-wrap renormalization, the frame pool's
+// reuse guarantee and the O(1) live-process bookkeeping. These guard the
+// invariant that the kernel preserves exact (time, seq) FIFO ordering under
+// every driver (Run, RunUntil, Step), under reentrant scheduling from
+// callbacks, and under adversarial time distributions (all-equal timestamps,
+// sparse exponential spreads, population churn). Labeled `unit;thread` so the
+// sanitizer CI jobs run them under ASan and TSan builds as well.
 
 #include <algorithm>
 #include <array>
@@ -142,24 +141,13 @@ class TreeDriver {
   std::vector<int> log_;
 };
 
-/// Every ordering test below runs once per calendar backend: the (time, seq)
-/// contract is backend-independent by design, and this suite is what pins it.
-class CalendarContractTest : public ::testing::TestWithParam<CalendarBackend> {};
-
-INSTANTIATE_TEST_SUITE_P(Backends, CalendarContractTest,
-                         ::testing::Values(CalendarBackend::kHeap,
-                                           CalendarBackend::kCalendarQueue),
-                         [](const ::testing::TestParamInfo<CalendarBackend>& info) {
-                           return std::string(CalendarBackendName(info.param));
-                         });
-
-TEST_P(CalendarContractTest, RunMatchesReferenceModel) {
+TEST(CalendarContractTest, RunMatchesReferenceModel) {
   for (uint64_t seed : {1ULL, 7ULL, 42ULL, 1234ULL}) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     EventTree tree = MakeTree(seed, /*roots=*/200, /*max_ids=*/4000);
     std::vector<int> expected = ReferenceOrder(tree);
 
-    Simulation sim(GetParam());
+    Simulation sim;
     TreeDriver driver(&sim, &tree);
     driver.ScheduleRoots();
     sim.Run();
@@ -170,11 +158,11 @@ TEST_P(CalendarContractTest, RunMatchesReferenceModel) {
   }
 }
 
-TEST_P(CalendarContractTest, InterleavedStepAndRunUntilMatchesReferenceModel) {
+TEST(CalendarContractTest, InterleavedStepAndRunUntilMatchesReferenceModel) {
   EventTree tree = MakeTree(/*seed=*/99, /*roots=*/150, /*max_ids=*/3000);
   std::vector<int> expected = ReferenceOrder(tree);
 
-  Simulation sim(GetParam());
+  Simulation sim;
   TreeDriver driver(&sim, &tree);
   driver.ScheduleRoots();
   // Drain through every driver the kernel offers: single steps, bounded
@@ -190,8 +178,8 @@ TEST_P(CalendarContractTest, InterleavedStepAndRunUntilMatchesReferenceModel) {
   EXPECT_EQ(sim.events_processed(), static_cast<uint64_t>(tree.num_ids));
 }
 
-TEST_P(CalendarContractTest, FifoTieBreakAcrossInterleavedTimes) {
-  Simulation sim(GetParam());
+TEST(CalendarContractTest, FifoTieBreakAcrossInterleavedTimes) {
+  Simulation sim;
   std::vector<int> log;
   // Interleave registrations across two times; within a time, execution must
   // follow registration order exactly.
@@ -208,17 +196,15 @@ TEST_P(CalendarContractTest, FifoTieBreakAcrossInterleavedTimes) {
 }
 
 // ---------------------------------------------------------------------------
-// Adversarial time distributions. Each targets a calendar-queue failure mode
-// (bucket collapse, sparse buckets, resize churn) but runs on both backends:
-// the expected order comes from the contract, not from either structure.
+// Adversarial time distributions: the expected order comes from the
+// contract, not from the calendar's structure.
 // ---------------------------------------------------------------------------
 
-TEST_P(CalendarContractTest, AllEqualTimestampsPreserveFifo) {
-  // Every event on one tick: the calendar queue degenerates to a single
-  // sorted bucket (width adaptation cannot separate equal times), and the
-  // heap's comparator decides purely on seq. Reentrant same-time scheduling
-  // must interleave exactly as the reference does.
-  Simulation sim(GetParam());
+TEST(CalendarContractTest, AllEqualTimestampsPreserveFifo) {
+  // Every event on one tick: the heap's comparator decides purely on seq.
+  // Reentrant same-time scheduling must interleave exactly as the reference
+  // does.
+  Simulation sim;
   std::vector<int> log;
   constexpr int kFirstWave = 500;
   for (int i = 0; i < kFirstWave; ++i) {
@@ -242,11 +228,9 @@ TEST_P(CalendarContractTest, AllEqualTimestampsPreserveFifo) {
   EXPECT_EQ(sim.Now(), 7.0);
 }
 
-TEST_P(CalendarContractTest, ExponentiallySpreadTimestampsMatchReference) {
-  // Times spanning ~10 decades leave nearly every calendar-queue bucket
-  // empty and force its direct-search fallback (a whole "year" scan finds
-  // nothing due). Expected order: stable sort by time (seq breaks ties by
-  // registration order).
+TEST(CalendarContractTest, ExponentiallySpreadTimestampsMatchReference) {
+  // Times spanning ~10 decades. Expected order: stable sort by time (seq
+  // breaks ties by registration order).
   Rng rng(2024);
   std::vector<double> times;
   for (int i = 0; i < 3000; ++i) {
@@ -262,7 +246,7 @@ TEST_P(CalendarContractTest, ExponentiallySpreadTimestampsMatchReference) {
                      return times[static_cast<size_t>(a)] < times[static_cast<size_t>(b)];
                    });
 
-  Simulation sim(GetParam());
+  Simulation sim;
   std::vector<int> log;
   for (size_t i = 0; i < times.size(); ++i) {
     sim.ScheduleCallback(times[i], [&log, i] { log.push_back(static_cast<int>(i)); });
@@ -271,11 +255,11 @@ TEST_P(CalendarContractTest, ExponentiallySpreadTimestampsMatchReference) {
   EXPECT_EQ(log, expected);
 }
 
-TEST_P(CalendarContractTest, PopulationChurnWavesMatchReference) {
-  // Sawtooth population (fill to ~2000, drain to ~50, repeat) drives the
-  // calendar queue through repeated grow/shrink resizes while events keep
-  // executing; a tree replay per wave cross-checks the full order.
-  Simulation sim(GetParam());
+TEST(CalendarContractTest, PopulationChurnWavesMatchReference) {
+  // Sawtooth population (fill to ~2000, drain to ~50, repeat) grows and
+  // shrinks the heap while events keep executing; the full execution order
+  // is cross-checked against the contract.
+  Simulation sim;
   Rng rng(31337);
   std::vector<double> pending;  // Times scheduled but not yet executed.
   std::vector<std::pair<double, int>> executed;
@@ -331,8 +315,8 @@ struct BurstRunResult {
   double now = 0.0;
 };
 
-BurstRunResult RunBurstScenario(CalendarBackend backend, bool attach_metrics) {
-  Simulation sim(backend);
+BurstRunResult RunBurstScenario(bool attach_metrics) {
+  Simulation sim;
   obs::MetricsRegistry metrics(true);
   if (attach_metrics) {
     sim.AttachMetrics(&metrics);
@@ -349,8 +333,8 @@ BurstRunResult RunBurstScenario(CalendarBackend backend, bool attach_metrics) {
   return result;
 }
 
-TEST_P(CalendarContractTest, EventBurstResumesWaitersInFifoOrder) {
-  BurstRunResult burst = RunBurstScenario(GetParam(), /*attach_metrics=*/false);
+TEST(CalendarContractTest, EventBurstResumesWaitersInFifoOrder) {
+  BurstRunResult burst = RunBurstScenario(/*attach_metrics=*/false);
   ASSERT_EQ(burst.log.size(), 48u);
   // All 16 members resume first (FIFO); then their same-tick follow-ups in
   // seq order — each member registered its callback then its Delay(0)
@@ -363,9 +347,9 @@ TEST_P(CalendarContractTest, EventBurstResumesWaitersInFifoOrder) {
   EXPECT_EQ(burst.now, 5.0);
 }
 
-TEST_P(CalendarContractTest, BurstPathMatchesUnbatchedFallbackExactly) {
-  BurstRunResult burst = RunBurstScenario(GetParam(), /*attach_metrics=*/false);
-  BurstRunResult unbatched = RunBurstScenario(GetParam(), /*attach_metrics=*/true);
+TEST(CalendarContractTest, BurstPathMatchesUnbatchedFallbackExactly) {
+  BurstRunResult burst = RunBurstScenario(/*attach_metrics=*/false);
+  BurstRunResult unbatched = RunBurstScenario(/*attach_metrics=*/true);
   EXPECT_EQ(burst.log, unbatched.log);
   EXPECT_EQ(burst.events, unbatched.events);
   EXPECT_EQ(burst.now, unbatched.now);
@@ -386,8 +370,8 @@ Process SignalDriver(Signal& pulse, int& rounds) {
   }
 }
 
-TEST_P(CalendarContractTest, RepeatedSignalBurstsRecycleBurstSlots) {
-  Simulation sim(GetParam());
+TEST(CalendarContractTest, RepeatedSignalBurstsRecycleBurstSlots) {
+  Simulation sim;
   Signal pulse(&sim);
   int rounds = 50;
   std::vector<int> log;
@@ -409,8 +393,8 @@ TEST_P(CalendarContractTest, RepeatedSignalBurstsRecycleBurstSlots) {
 // 32-bit seq wrap: renormalization keeps the FIFO contract across the wrap.
 // ---------------------------------------------------------------------------
 
-TEST_P(CalendarContractTest, SeqWrapRenormalizationPreservesFifo) {
-  Simulation sim(GetParam());
+TEST(CalendarContractTest, SeqWrapRenormalizationPreservesFifo) {
+  Simulation sim;
   std::vector<int> log;
   // A few entries with ordinary seqs, then force the counter to the edge so
   // the remaining registrations straddle the wrap mid-scheduling.
@@ -440,8 +424,8 @@ Process WakeRecorder(Simulation& sim, std::vector<double>& wakes) {
   }
 }
 
-TEST_P(CalendarContractTest, SeqWrapDuringLoneRunnerAdvance) {
-  Simulation sim(GetParam());
+TEST(CalendarContractTest, SeqWrapDuringLoneRunnerAdvance) {
+  Simulation sim;
   sim.SetNextSeqForTest(UINT32_MAX - 1);
   std::vector<double> wakes;
   sim.Spawn(WakeRecorder(sim, wakes));
@@ -452,92 +436,294 @@ TEST_P(CalendarContractTest, SeqWrapDuringLoneRunnerAdvance) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// CalendarQueue direct tests: randomized push/pop against the reference heap
-// under the same adversarial distributions, with resize churn verified via
-// the bucket-count introspection.
-// ---------------------------------------------------------------------------
+TEST(CalendarContractTest, SeqWrapMidTreeMatchesReferenceModel) {
+  // Hundreds of entries are pending when the counter wraps, and the wrap
+  // lands while callbacks reentrantly schedule children: renormalization
+  // must re-sort the whole heap without changing a single pop.
+  EventTree tree = MakeTree(/*seed=*/4242, /*roots=*/300, /*max_ids=*/3000);
+  std::vector<int> expected = ReferenceOrder(tree);
 
-struct RefLater {
-  bool operator()(const CalEntry& a, const CalEntry& b) const { return EarlierThan(b, a); }
-};
-using ReferenceQueue = std::priority_queue<CalEntry, std::vector<CalEntry>, RefLater>;
+  Simulation sim;
+  TreeDriver driver(&sim, &tree);
+  driver.ScheduleRoots();
+  sim.SetNextSeqForTest(UINT32_MAX - 40);
+  sim.Run();
+  EXPECT_EQ(driver.log(), expected);
+  EXPECT_EQ(sim.events_processed(), static_cast<uint64_t>(tree.num_ids));
+}
 
-void FuzzAgainstReference(uint64_t seed, int ops, double (*next_time)(Rng&, double)) {
-  Rng rng(seed);
-  CalendarQueue cq;
-  ReferenceQueue ref;
-  uint32_t seq = 0;
-  double now = 0.0;
-  for (int op = 0; op < ops; ++op) {
-    // Bias toward pushes while small, pops while large, with random runs of
-    // each so the population swings through resize thresholds repeatedly.
-    const uint64_t push_bias = cq.size() < 512 ? 60 : 40;
-    bool push = cq.empty() || rng.UniformInt(100) < push_bias;
-    if (push) {
-      CalEntry entry{next_time(rng, now), seq, seq};
-      ++seq;
-      cq.Push(entry);
-      ref.push(entry);
-    } else {
-      ASSERT_EQ(cq.PeekMin().seq, ref.top().seq) << "op " << op;
-      CalEntry popped = cq.PopMin();
-      EXPECT_EQ(popped.time, ref.top().time) << "op " << op;
-      EXPECT_EQ(popped.seq, ref.top().seq) << "op " << op;
-      now = popped.time;  // Simulation clock: future pushes are >= now.
-      ref.pop();
+TEST(CalendarContractTest, RepeatedSeqWrapsAcrossChurnPreserveOrder) {
+  // Three wraps, each with a partly drained heap left over from the last
+  // round, so renormalized seqs and fresh seqs mix in one heap.
+  Simulation sim;
+  Rng rng(515);
+  std::vector<std::pair<double, int>> executed;
+  int next_id = 0;
+  auto schedule = [&] {
+    const double at = sim.Now() + static_cast<double>(rng.UniformInt(20));
+    const int id = next_id++;
+    sim.ScheduleCallback(at, [&executed, at, id] { executed.emplace_back(at, id); });
+  };
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 40; ++i) {
+      schedule();
     }
-    ASSERT_EQ(cq.size(), ref.size());
+    // Every pending seq is far below the planted value, so the plant only
+    // moves the counter forward; the wrap then lands mid-batch.
+    sim.SetNextSeqForTest(UINT32_MAX - 10);
+    for (int i = 0; i < 40; ++i) {
+      schedule();
+    }
+    sim.RunUntil(sim.Now() + 8.0);
   }
-  while (!cq.empty()) {
-    CalEntry popped = cq.PopMin();
-    EXPECT_EQ(popped.seq, ref.top().seq);
-    ref.pop();
+  sim.Run();
+  std::vector<std::pair<double, int>> expected = executed;
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(executed, expected);
+  EXPECT_EQ(executed.size(), 240u);
+}
+
+Process LatchWaiter(Event& ready, std::vector<int>& log, int id) {
+  co_await ready.Wait();
+  log.push_back(id);
+}
+
+TEST(CalendarContractTest, BurstIsOneCalendarEntryCountingEveryMember) {
+  Simulation sim;
+  Event ready(&sim);
+  std::vector<int> log;
+  for (int id = 0; id < 16; ++id) {
+    sim.Spawn(LatchWaiter(ready, log, id));
+  }
+  sim.RunUntil(0.0);  // Every waiter parks on the latch.
+  ASSERT_EQ(sim.CalendarDepth(), 0u);
+  const uint64_t before = sim.events_processed();
+  ready.Set();
+  EXPECT_EQ(sim.CalendarDepth(), 1u) << "one entry stands for the whole group";
+  ASSERT_TRUE(sim.Step());
+  EXPECT_EQ(sim.events_processed() - before, 16u) << "each member counts as one event";
+  EXPECT_EQ(sim.CalendarDepth(), 0u);
+  ASSERT_EQ(log.size(), 16u);
+  for (int id = 0; id < 16; ++id) {
+    EXPECT_EQ(log[static_cast<size_t>(id)], id);
   }
 }
 
-TEST(CalendarQueueTest, UniformTimesMatchReference) {
+TEST(CalendarContractTest, SeqWrapWithPendingBurstKeepsGroupOrder) {
+  // A burst group holds a single seq for all its members; the wrap must keep
+  // it between the entry registered before it and those registered after.
+  Simulation sim;
+  Event ready(&sim);
+  std::vector<int> log;
+  for (int id = 0; id < 8; ++id) {
+    sim.Spawn(LatchWaiter(ready, log, id));
+  }
+  sim.RunUntil(0.0);
+  sim.ScheduleCallback(0.0, [&log] { log.push_back(-1); });
+  sim.SetNextSeqForTest(UINT32_MAX - 1);
+  ready.Set();  // Takes the last seq before the wrap.
+  sim.ScheduleCallback(0.0, [&log] { log.push_back(100); });  // Wraps.
+  sim.ScheduleCallback(0.0, [&log] { log.push_back(101); });
+  sim.Run();
+  const std::vector<int> expected = {-1, 0, 1, 2, 3, 4, 5, 6, 7, 100, 101};
+  EXPECT_EQ(log, expected);
+}
+
+TEST(CalendarContractTest, RunBoundedChunksMatchReferenceModel) {
+  // Chunked drains of every size, including chunks that end with reentrant
+  // children still pending, pop exactly the reference order.
+  EventTree tree = MakeTree(/*seed=*/77, /*roots=*/150, /*max_ids=*/3000);
+  std::vector<int> expected = ReferenceOrder(tree);
+
+  Simulation sim;
+  TreeDriver driver(&sim, &tree);
+  driver.ScheduleRoots();
+  Rng rng(78);
+  int chunks = 0;
+  while (!sim.RunBounded(1 + rng.UniformInt(64))) {
+    ++chunks;
+  }
+  EXPECT_GT(chunks, 10);
+  EXPECT_EQ(driver.log(), expected);
+  EXPECT_EQ(sim.events_processed(), static_cast<uint64_t>(tree.num_ids));
+}
+
+TEST(CalendarContractTest, DescendingInsertionsPopAscending) {
+  // Every push is earlier than all pending entries, so each sift-up climbs to
+  // the root; pairs of equal times check the tie-break on that path too.
+  Simulation sim;
+  std::vector<int> log;
+  constexpr int kEntries = 4000;
+  for (int i = 0; i < kEntries; ++i) {
+    const double at = static_cast<double>((kEntries - 1 - i) / 2);
+    sim.ScheduleCallback(at, [&log, i] { log.push_back(i); });
+  }
+  EXPECT_EQ(sim.CalendarDepth(), static_cast<size_t>(kEntries));
+  sim.Run();
+  ASSERT_EQ(log.size(), static_cast<size_t>(kEntries));
+  for (int k = 0; k < kEntries / 2; ++k) {
+    // Time k holds ids kEntries-2-2k and kEntries-1-2k, in registration order.
+    EXPECT_EQ(log[static_cast<size_t>(2 * k)], kEntries - 2 - 2 * k);
+    EXPECT_EQ(log[static_cast<size_t>(2 * k + 1)], kEntries - 1 - 2 * k);
+  }
+}
+
+TEST(CalendarContractTest, ExplicitHeapArgumentMatchesDefault) {
+  // The constructor parameter is a compatibility remnant (see
+  // CalendarBackend): passing it must not change a single pop.
+  EventTree tree = MakeTree(/*seed=*/5, /*roots=*/100, /*max_ids=*/1500);
+  Simulation plain;
+  TreeDriver plain_driver(&plain, &tree);
+  plain_driver.ScheduleRoots();
+  plain.Run();
+  Simulation explicit_heap(CalendarBackend::kHeap);
+  TreeDriver explicit_driver(&explicit_heap, &tree);
+  explicit_driver.ScheduleRoots();
+  explicit_heap.Run();
+  EXPECT_EQ(explicit_driver.log(), plain_driver.log());
+  EXPECT_EQ(explicit_heap.events_processed(), plain.events_processed());
+  EXPECT_EQ(explicit_heap.Now(), plain.Now());
+}
+
+// ---------------------------------------------------------------------------
+// 4-ary heap shapes. A node i has children 4i+1..4i+4, so populations at and
+// one past a full level (1, 5, 21, 85) and ones whose last parent has one to
+// three children are where an off-by-one in a sift loop shows. Each size is
+// filled in ascending, descending and shuffled-with-ties order, and every
+// Step must pop the contract's next entry and shrink the depth by one.
+// ---------------------------------------------------------------------------
+
+class CalendarHeapShapeTest : public ::testing::TestWithParam<int> {};
+
+INSTANTIATE_TEST_SUITE_P(Sizes, CalendarHeapShapeTest,
+                         ::testing::Values(1, 2, 5, 6, 8, 21, 22, 85),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return "n" + std::to_string(info.param);
+                         });
+
+TEST_P(CalendarHeapShapeTest, EveryFillOrderPopsInContractOrder) {
+  const int n = GetParam();
+  Rng rng(static_cast<uint64_t>(n));
+  std::vector<std::vector<double>> fills(3);
+  for (int i = 0; i < n; ++i) {
+    fills[0].push_back(static_cast<double>(i));
+    fills[1].push_back(static_cast<double>(n - i));
+    fills[2].push_back(static_cast<double>(rng.UniformInt(static_cast<uint64_t>(n / 3 + 1))));
+  }
+  for (size_t f = 0; f < fills.size(); ++f) {
+    SCOPED_TRACE("fill order " + std::to_string(f));
+    const std::vector<double>& times = fills[f];
+    std::vector<int> expected(static_cast<size_t>(n));
+    for (int i = 0; i < n; ++i) {
+      expected[static_cast<size_t>(i)] = i;
+    }
+    std::stable_sort(expected.begin(), expected.end(), [&times](int a, int b) {
+      return times[static_cast<size_t>(a)] < times[static_cast<size_t>(b)];
+    });
+
+    Simulation sim;
+    std::vector<int> log;
+    for (int i = 0; i < n; ++i) {
+      sim.ScheduleCallback(times[static_cast<size_t>(i)], [&log, i] { log.push_back(i); });
+    }
+    for (int popped = 0; popped < n; ++popped) {
+      ASSERT_EQ(sim.CalendarDepth(), static_cast<size_t>(n - popped));
+      ASSERT_TRUE(sim.Step());
+      ASSERT_EQ(log.back(), expected[static_cast<size_t>(popped)]) << "pop " << popped;
+      EXPECT_EQ(sim.Now(), times[static_cast<size_t>(log.back())]);
+    }
+    EXPECT_FALSE(sim.Step());
+    EXPECT_EQ(log, expected);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Interleaved schedule/Step fuzz: each pop is checked against a reference
+// queue over (time, registration order) the moment it happens, with the
+// population swinging between a handful and thousands of entries.
+// ---------------------------------------------------------------------------
+
+void FuzzAgainstReference(uint64_t seed, int ops, double (*next_time)(Rng&, double)) {
+  struct RefEntry {
+    double time;
+    int id;  // Registration order, the contract's tie-break.
+  };
+  struct RefLater {
+    bool operator()(const RefEntry& a, const RefEntry& b) const {
+      return a.time != b.time ? a.time > b.time : a.id > b.id;
+    }
+  };
+  std::priority_queue<RefEntry, std::vector<RefEntry>, RefLater> ref;
+  Rng rng(seed);
+  Simulation sim;
+  int popped = -1;
+  int next_id = 0;
+  auto pop_and_check = [&](int op) {
+    ASSERT_TRUE(sim.Step());
+    ASSERT_EQ(popped, ref.top().id) << "op " << op;
+    EXPECT_EQ(sim.Now(), ref.top().time) << "op " << op;
+    ref.pop();
+  };
+  for (int op = 0; op < ops; ++op) {
+    // Bias toward pushes while small, pops while large, so the population
+    // swings up and down repeatedly.
+    const uint64_t push_bias = sim.CalendarDepth() < 512 ? 60 : 40;
+    if (ref.empty() || rng.UniformInt(100) < push_bias) {
+      const double at = next_time(rng, sim.Now());
+      const int id = next_id++;
+      sim.ScheduleCallback(at, [&popped, id] { popped = id; });
+      ref.push(RefEntry{at, id});
+    } else {
+      pop_and_check(op);
+    }
+    ASSERT_EQ(sim.CalendarDepth(), ref.size()) << "op " << op;
+  }
+  while (!ref.empty()) {
+    pop_and_check(ops);
+  }
+  EXPECT_FALSE(sim.Step());
+  EXPECT_EQ(sim.events_processed(), static_cast<uint64_t>(next_id));
+}
+
+TEST(CalendarFuzzTest, UniformTimesMatchReference) {
   FuzzAgainstReference(17, 20000, [](Rng& rng, double now) {
     return now + static_cast<double>(rng.UniformInt(1000)) * 0.125;
   });
 }
 
-TEST(CalendarQueueTest, AllEqualTimesMatchReference) {
-  // Bucket collapse: every entry maps to one bucket; order is pure seq.
+TEST(CalendarFuzzTest, AllEqualTimesMatchReference) {
+  // Every entry on the current tick: order is pure registration order.
   FuzzAgainstReference(23, 8000, [](Rng&, double now) { return now; });
 }
 
-TEST(CalendarQueueTest, ExponentialSpreadMatchesReference) {
-  // Sparse buckets: successive times jump decades, exercising the
-  // direct-search fallback and cursor jumps.
+TEST(CalendarFuzzTest, ExponentialSpreadMatchesReference) {
+  // Successive times jump across decades.
   FuzzAgainstReference(29, 8000, [](Rng& rng, double now) {
     return now + rng.Exponential(1.0) * std::pow(10.0, static_cast<double>(rng.UniformInt(8)));
   });
 }
 
-TEST(CalendarQueueTest, ResizeChurnGrowsAndShrinksBuckets) {
-  CalendarQueue cq;
+TEST(CalendarFuzzTest, FillAndDrainCyclesMatchReference) {
+  // Whole-heap cycles: fill to 4096 entries, drain to empty, three times;
+  // the ascending sweep over a random fill checks every pop.
+  Simulation sim;
   Rng rng(7);
-  uint32_t seq = 0;
-  size_t max_buckets = cq.NumBuckets();
-  // Fill far past the grow threshold...
-  for (int i = 0; i < 4096; ++i) {
-    cq.Push(CalEntry{static_cast<double>(rng.UniformInt(100000)) * 0.01, seq, seq});
-    ++seq;
-    max_buckets = std::max(max_buckets, cq.NumBuckets());
+  std::vector<std::pair<double, int>> executed;
+  int next_id = 0;
+  for (int cycle = 0; cycle < 3; ++cycle) {
+    for (int i = 0; i < 4096; ++i) {
+      const double at = sim.Now() + static_cast<double>(rng.UniformInt(100000)) * 0.01;
+      const int id = next_id++;
+      sim.ScheduleCallback(at, [&executed, at, id] { executed.emplace_back(at, id); });
+    }
+    EXPECT_EQ(sim.CalendarDepth(), 4096u);
+    sim.Run();
+    EXPECT_EQ(sim.CalendarDepth(), 0u);
   }
-  EXPECT_GT(max_buckets, 4u) << "population 4096 must trigger grow resizes";
-  // ...then drain to trigger the shrink path, checking order en route.
-  CalEntry prev = cq.PopMin();
-  size_t min_buckets = cq.NumBuckets();
-  while (!cq.empty()) {
-    CalEntry entry = cq.PopMin();
-    ASSERT_TRUE(EarlierThan(prev, entry));
-    prev = entry;
-    min_buckets = std::min(min_buckets, cq.NumBuckets());
-  }
-  EXPECT_LT(min_buckets, max_buckets) << "drain must trigger shrink resizes";
-  EXPECT_GT(cq.BucketWidth(), 0.0);
+  std::vector<std::pair<double, int>> expected = executed;
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(executed, expected);
+  EXPECT_EQ(executed.size(), 3u * 4096u);
 }
 
 // ---------------------------------------------------------------------------

@@ -164,6 +164,22 @@ class SweepCliTest(unittest.TestCase):
         self.assertEqual(proc.returncode, 1)
         self.assertIn("digest", proc.stderr)
 
+    def test_out_of_range_flags_exit_2_with_a_message(self):
+        base = ["--runs", "4", "--disks", "2", "--blocks", "30"]
+        cases = [
+            (["--trials", "0"], "--trials"),
+            (["--trials", "-3"], "--trials"),
+            (["--trials", "0", "--sweep", "2",
+              "--shard-dir", os.path.join(self.dir, "shards_bad")], "--trials"),
+            (["--max_sim_events", "-1"], "--max_sim_events"),
+            (["--max_wall_ms", "-5"], "--max_wall_ms"),
+        ]
+        for extra, flag in cases:
+            with self.subTest(args=extra):
+                proc = run_cli(base + extra, cwd=self.dir, check=False)
+                self.assertEqual(proc.returncode, 2, proc.stderr)
+                self.assertIn(flag, proc.stderr)
+
 
 if __name__ == "__main__":
     if len(sys.argv) < 2:
